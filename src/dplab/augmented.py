@@ -20,10 +20,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
+from . import _lp
 from ._format import csv_text
-from ._parallel import ordered_map
 from .codec import (
     DeterministicDecoder,
     Encoder,
@@ -31,13 +30,8 @@ from .codec import (
     check_zd_xd_bijective,
     distortion,
 )
-from .distcore import DiscreteDistribution, joint_from_encoder, make_distribution
+from .distcore import DiscreteDistribution, joint_from_encoder, make_distribution, sq_dists
 from .transport import w1_exact
-
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 LP_VARIABLE_CAP = 2_000_000
 INDETERMINATE_BAND = 1e-9
 
@@ -58,9 +52,13 @@ class AugmentedSolution:
         return (self.lam, self.w1_gap, self.mean_dev, self.mse, self.objective, self.flag)
 
 
-def _pair_laws(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
+def _pair_laws(source: DiscreteDistribution, enc: Encoder, tags: np.ndarray,
                dec: StochasticDecoder):
-    """Laws of (X̂, Xd) and (X, Xd) as distributions on concatenated vectors."""
+    """Laws of (X̂, T) and (X, T) as distributions on concatenated vectors.
+
+    T = tags[Z]: the gd table gives the Xd pairs, a code-index column the Zd
+    pairs.
+    """
     j = joint_from_encoder(source, enc)
     pz = j.z_marginal()
     blocks, masses = [], []
@@ -69,12 +67,12 @@ def _pair_laws(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDeco
             continue
         row = dec.table[z]
         mask = row > 0
-        reps = np.repeat(gd.table[z][None, :], int(mask.sum()), axis=0)
+        reps = np.repeat(tags[z][None, :], int(mask.sum()), axis=0)
         blocks.append(np.hstack([dec.out_support[mask], reps]))
         masses.append(pz[z] * row[mask])
     out_joint = make_distribution(np.vstack(blocks), np.concatenate(masses))
     src_joint = make_distribution(
-        np.hstack([source.points, gd.table[enc.assignment]]), source.probs
+        np.hstack([source.points, tags[enc.assignment]]), source.probs
     )
     return out_joint, src_joint
 
@@ -82,8 +80,7 @@ def _pair_laws(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDeco
 def _mean_deviation(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
                     dec: StochasticDecoder) -> float:
     pz = joint_from_encoder(source, enc).z_marginal()
-    diff = gd.table[:, None, :] - dec.out_support[None, :, :]
-    norms = np.sqrt(np.einsum("zmd,zmd->zm", diff, diff))
+    norms = np.sqrt(sq_dists(gd.table, dec.out_support))
     return float(np.einsum("z,zm,zm->", pz, dec.table, norms))
 
 
@@ -94,7 +91,7 @@ def augmented_objective(source: DiscreteDistribution, enc: Encoder, gd: Determin
         raise ValueError("lambda must be >= 0")
     if dec.K != enc.K or gd.K != enc.K:
         raise ValueError("decoder K does not match encoder K")
-    out_joint, src_joint = _pair_laws(source, enc, gd, dec)
+    out_joint, src_joint = _pair_laws(source, enc, gd.table, dec)
     return w1_exact(out_joint, src_joint).cost + lam * _mean_deviation(source, enc, gd, dec)
 
 
@@ -144,36 +141,27 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
     # Y atoms: (x_i, gd[z(x_i)]) with the source mass.
     y_pts = np.hstack([source.points, gd.table[enc.assignment]])
     # Ŷ atoms: (out_m, value_v) carrying mass pv[v] * q[v, m].
-    dev = np.sqrt(np.einsum("vmd,vmd->vm",
-                            values[:, None, :] - sup[None, :, :],
-                            values[:, None, :] - sup[None, :, :]))
+    dev = np.sqrt(sq_dists(values, sup))
     # gamma cost: distance between Ŷ atom (m, v) and Y atom y on R^{2d}.
     hat_x = np.repeat(sup[None, :, :], nv, axis=0).reshape(nv * m, -1)
     hat_v = np.repeat(values[:, None, :], m, axis=1).reshape(nv * m, -1)
-    hat_pts = np.hstack([hat_x, hat_v])
-    diff = hat_pts[:, None, :] - y_pts[None, :, :]
-    gamma_cost = np.sqrt(np.einsum("ayd,ayd->ay", diff, diff))
+    gamma_cost = np.sqrt(sq_dists(np.hstack([hat_x, hat_v]), y_pts))
 
     nq = nv * m
     c = np.concatenate([(lam * pv[:, None] * dev).reshape(-1), gamma_cost.reshape(-1)])
-    a_eq = sparse.vstack(
+    a_eq = sparse.bmat(
         [
             # each value row of q is a pmf
-            sparse.hstack([sparse.kron(sparse.identity(nv), np.ones((1, m))),
-                           sparse.csr_matrix((nv, nq * n))]),
+            [_lp.row_sums(nv, m), None],
             # gamma row sums realize the Ŷ law induced by q
-            sparse.hstack([-sparse.kron(sparse.diags(pv), sparse.identity(m)),
-                           sparse.kron(sparse.identity(nq), np.ones((1, n)))]),
+            [sparse.diags(-np.repeat(pv, m)), _lp.row_sums(nq, n)],
             # gamma column sums match the fixed Y law
-            sparse.hstack([sparse.csr_matrix((n, nq)),
-                           sparse.kron(np.ones((1, nq)), sparse.identity(n))]),
+            [None, _lp.col_sums(nq, n)],
         ],
         format="csr",
     )
     b_eq = np.concatenate([np.ones(nv), np.zeros(nq), source.probs])
-
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options=_LP_OPTIONS)
+    res = _lp.solve(c, a_eq, b_eq)
     if res.status != 0:
         raise ValueError(f"augmented LP failed: {res.message}")
 
@@ -181,7 +169,7 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
     qv = qv / qv.sum(axis=1, keepdims=True)
     dec = StochasticDecoder(sup, qv[val_of_z])
 
-    out_joint, src_joint = _pair_laws(source, enc, gd, dec)
+    out_joint, src_joint = _pair_laws(source, enc, gd.table, dec)
     w1_gap = w1_exact(out_joint, src_joint).cost
     mean_dev = _mean_deviation(source, enc, gd, dec)
     return AugmentedSolution(
@@ -202,7 +190,7 @@ def phase_sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDec
     lams = [float(v) for v in lambdas]
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda grid must be sorted ascending")
-    return ordered_map(lambda v: solve_augmented(source, enc, gd, v, out_support), lams)
+    return [solve_augmented(source, enc, gd, v, out_support) for v in lams]
 
 
 def phase_to_csv(solutions: Sequence[AugmentedSolution]) -> str:
@@ -241,24 +229,7 @@ def conditioning_equivalence(source: DiscreteDistribution, enc: Encoder,
     """
     if not check_zd_xd_bijective(enc, gd):
         raise ValueError("gd table is not bijective over codes")
-    out_joint, src_joint = _pair_laws(source, enc, gd, dec)
-    gap_xd = w1_exact(out_joint, src_joint).cost
-
-    j = joint_from_encoder(source, enc)
-    pz = j.z_marginal()
-    blocks, masses = [], []
-    for z in range(enc.K):
-        if pz[z] <= 0:
-            continue
-        row = dec.table[z]
-        mask = row > 0
-        zcol = np.full((int(mask.sum()), 1), float(z))
-        blocks.append(np.hstack([dec.out_support[mask], zcol]))
-        masses.append(pz[z] * row[mask])
-    out_z = make_distribution(np.vstack(blocks), np.concatenate(masses))
-    src_z = make_distribution(
-        np.hstack([source.points, enc.assignment[:, None].astype(np.float64)]),
-        source.probs,
-    )
-    gap_zd = w1_exact(out_z, src_z).cost
+    gap_xd = w1_exact(*_pair_laws(source, enc, gd.table, dec)).cost
+    codes = np.arange(enc.K, dtype=np.float64)[:, None]
+    gap_zd = w1_exact(*_pair_laws(source, enc, codes, dec)).cost
     return gap_xd, gap_zd

@@ -32,6 +32,7 @@ from .distcore import (
     conditional_x_given_z,
     joint_from_encoder,
     make_distribution,
+    sq_dists,
 )
 from .tradeoff import (
     constrained_oracle,
@@ -148,8 +149,7 @@ def _check_orthogonality(ctx: _Ctx) -> CheckResult:
 def _check_cross_term(ctx: _Ctx) -> CheckResult:
     # E‖Xd−Xp‖² with Xd, Xp conditionally independent given Z
     pz = joint_from_encoder(ctx.source, ctx.enc).z_marginal()
-    diff = ctx.gd.table[:, None, :] - ctx.gp.out_support[None, :, :]
-    sq = np.einsum("zmd,zmd->zm", diff, diff)
+    sq = sq_dists(ctx.gd.table, ctx.gp.out_support)
     lhs = float(np.einsum("z,zm,zm->", pz, ctx.gp.table, sq))
     gap = abs(lhs - ctx.d_d)
     return CheckResult(
@@ -278,6 +278,11 @@ def _check_beta_map(ctx: _Ctx) -> CheckResult:
 
 
 def _check_conditioning_dichotomy(ctx: _Ctx) -> CheckResult:
+    if ctx.d_d <= 0:
+        return CheckResult(
+            "conditioning_dichotomy", True,
+            "skipped: D_d = 0 makes the copy-Xd decoder the resampler", skipped=True,
+        )
     gaps_p = conditioning_equivalence(ctx.source, ctx.enc, ctx.gd, ctx.gp)
     copy_dec = StochasticDecoder(ctx.gd.table, np.eye(ctx.enc.K))
     gaps_c = conditioning_equivalence(ctx.source, ctx.enc, ctx.gd, copy_dec)

@@ -3,7 +3,7 @@
 Subcommands: mmse, perceptual, sweep, oracle, theorem2, verify. Artifacts are
 deterministic: floats carry 17 significant digits, CSV uses LF line endings,
 and rows follow grid order, so identical argv + seed reproduce files byte for
-byte. DPLAB_THREADS caps in-process parallelism (default 1).
+byte.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error.
 """

@@ -25,6 +25,7 @@ from .distcore import (
     _readonly,
     joint_from_encoder,
     make_distribution,
+    sq_dists,
 )
 
 ENUMERATION_CAP = 10**7
@@ -146,8 +147,7 @@ def distortion(source: DiscreteDistribution, enc: Encoder, dec: Decoder) -> floa
         return float(np.einsum("i,id,id->", source.probs, diff, diff))
     if dec.K != enc.K:
         raise ValueError("decoder K does not match encoder K")
-    d = source.points[:, None, :] - dec.out_support[None, :, :]
-    sq = np.einsum("imd,imd->im", d, d)
+    sq = sq_dists(source.points, dec.out_support)
     rows = dec.table[assignment]
     return float(np.einsum("i,im,im->", source.probs, rows, sq))
 
@@ -209,9 +209,7 @@ def lloyd_train(
     assign = np.zeros(n, dtype=np.int64)
     prev_mse = None
     for _ in range(max_iter):
-        d = pts[:, None, :] - centroids[None, :, :]
-        dist2 = np.einsum("izd,izd->iz", d, d)
-        assign = np.argmin(dist2, axis=1)  # first minimum -> lower code wins ties
+        assign = np.argmin(sq_dists(pts, centroids), axis=1)  # first minimum -> lower code wins ties
 
         counts = np.bincount(assign, minlength=K)
         for z in range(K):
@@ -301,7 +299,10 @@ def _exhaustive_full(source, K, cap):
         m = np.einsum("bik,i->bk", onehot, probs)
         s = np.einsum("bik,i,id->bkd", onehot, probs, pts)
         safe_m = np.where(m > 0, m, 1.0)
-        explained = np.where(m > 0, np.einsum("bkd,bkd->bk", s, s) / safe_m, 0.0)
+        # An empty cell explains -inf, so its assignment scores MSE +inf: with
+        # K <= n distinct points some optimum fills every cell, and cancellation
+        # in ex2 - Σ explained could otherwise rank an empty cell first.
+        explained = np.where(m > 0, np.einsum("bkd,bkd->bk", s, s) / safe_m, -np.inf)
         # summing cells in sorted order makes relabeled partitions tie bit-exactly,
         # so the first minimum really is the lexicographically smallest assignment
         explained.sort(axis=1)
@@ -324,6 +325,10 @@ def exhaustive_optimal_encoder(
     """
     if K > source.n:
         raise ValueError(f"K > n: {K} codes for {source.n} support points")
+    ex2 = float(np.einsum("i,id,id->", source.probs, source.points, source.points))
+    if not math.isfinite(ex2):
+        # every candidate MSE would be inf or nan
+        raise ValueError("no encoder has a finite MSE: E‖X‖² overflows float64")
     if K ** source.n <= cap:
         assign = _exhaustive_full(source, K, cap)
     elif source.dim == 1:

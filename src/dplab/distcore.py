@@ -81,21 +81,30 @@ def make_distribution(points, probs) -> DiscreteDistribution:
         raise ValueError("probs must be finite")
     if np.any(pr < 0):
         raise ValueError("negative prob")
-    total = float(pr.sum())
+    # np.unique sorts rows lexicographically, which is the canonical ordering.
+    # Masses are summed in (point, mass) order, so the total and the merged
+    # duplicates are bit-identical under any permutation of the input.
+    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.lexsort((pr, inverse))
+    total = float(pr[order].sum())
     if abs(total - 1.0) > INPUT_MASS_TOL:
         raise ValueError(f"probability mass {total!r} deviates from 1 by more than 1e-9")
     if abs(total - 1.0) > MASS_TOL:
         pr = pr / total
 
-    # Merge exact duplicates; np.unique sorts rows lexicographically, which is
-    # the canonical ordering.
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
     merged = np.zeros(uniq.shape[0], dtype=np.float64)
-    np.add.at(merged, inverse.reshape(-1), pr)
+    np.add.at(merged, inverse[order], pr[order])
     keep = merged > 0.0
     if not np.any(keep):
         raise ValueError("empty support")
     return DiscreteDistribution(_readonly(uniq[keep]), _readonly(merged[keep]))
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances between the rows of a (n, d) and b (m, d)."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("nmd,nmd->nm", diff, diff)
 
 
 def gaussian_grid(mean: float, std: float, n: int, halfwidth: float) -> DiscreteDistribution:

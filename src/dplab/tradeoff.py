@@ -21,10 +21,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
+from . import _lp
 from ._format import csv_text
-from ._parallel import ordered_map
 from .codec import (
     ENUMERATION_CAP,
     DeterministicDecoder,
@@ -34,13 +33,8 @@ from .codec import (
     distortion,
     exhaustive_optimal_encoder,
 )
-from .distcore import DiscreteDistribution, joint_from_encoder, make_distribution
+from .distcore import DiscreteDistribution, joint_from_encoder, make_distribution, sq_dists
 from .transport import w2sq_exact
-
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 
 SWEEP_COLUMNS = ("alpha", "D_measured", "P_measured", "D_predicted", "P_predicted", "D_d", "P_d")
 
@@ -164,7 +158,7 @@ def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
         raise ValueError("alpha out of range [0, 1]")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be sorted ascending")
-    return ordered_map(lambda a: evaluate_point(source, enc, gd, gp, a), alphas)
+    return [evaluate_point(source, enc, gd, gp, a) for a in alphas]
 
 
 def sweep_to_csv(points: Sequence[TradeoffPoint]) -> str:
@@ -179,11 +173,6 @@ def default_oracle_support(source: DiscreteDistribution, gd: DeterministicDecode
     for a in alphas:
         parts.append(interpolate(gd, gp, float(a)).realized.out_support)
     return np.unique(np.vstack(parts), axis=0)
-
-
-def _sq_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return np.einsum("imd,imd->im", d, d)
 
 
 def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: float,
@@ -213,31 +202,25 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
     j = joint_from_encoder(source, enc)
     pz = j.z_marginal()
     n, k, m = source.n, enc.K, sup.shape[0]
-    sqx = _sq_table(source.points, sup)  # (n, m)
-    cq = j.mass @ sqx                    # (k, m)
+    sqx = sq_dists(source.points, sup)  # (n, m)
+    cq = j.mass @ sqx                   # (k, m)
 
-    nq, npi = k * m, n * m
-    c = np.concatenate([cq.reshape(-1), np.zeros(npi)])
-    eye_m = sparse.identity(m, format="csr")
-    a_eq = sparse.vstack(
+    nq = k * m
+    c = np.concatenate([cq.reshape(-1), np.zeros(n * m)])
+    a_eq = sparse.bmat(
         [
             # each decoder row a pmf
-            sparse.hstack([sparse.kron(sparse.identity(k), np.ones((1, m))),
-                           sparse.csr_matrix((k, npi))]),
+            [_lp.row_sums(k, m), None],
             # coupling rows reproduce p_X
-            sparse.hstack([sparse.csr_matrix((n, nq)),
-                           sparse.kron(sparse.identity(n), np.ones((1, m)))]),
+            [None, _lp.row_sums(n, m)],
             # coupling columns reproduce the decoder's output law
-            sparse.hstack([-sparse.kron(pz.reshape(1, -1), eye_m),
-                           sparse.kron(np.ones((1, n)), eye_m)]),
+            [-_lp.col_sums(k, m, pz), _lp.col_sums(n, m)],
         ],
         format="csr",
     )
     b_eq = np.concatenate([np.ones(k), source.probs, np.zeros(m)])
     a_ub = sparse.csr_matrix(np.concatenate([np.zeros(nq), sqx.reshape(-1)])[None, :])
-
-    res = linprog(c, A_ub=a_ub, b_ub=[p_budget], A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs", options=_LP_OPTIONS)
+    res = _lp.solve(c, a_eq, b_eq, a_ub, [p_budget])
     if res.status != 0:
         raise ValueError(
             "perception constraint infeasible on the given out_support"

@@ -13,15 +13,11 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
-from .distcore import DiscreteDistribution
+from . import _lp
+from .distcore import DiscreteDistribution, sq_dists
 
 SIZE_CAP = 512
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,23 +81,8 @@ def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
 
     # Row-sum block stacked over column-sum block; one equality is redundant
     # but consistent, which HiGHS presolve handles.
-    ones_r = np.ones(nc)
-    rows_i = np.repeat(np.arange(nr), nc)
-    cols_i = np.arange(nr * nc)
-    blk_a = sparse.csr_matrix((np.ones(nr * nc), (rows_i, cols_i)), shape=(nr, nr * nc))
-    rows_j = np.tile(np.arange(nc), nr)
-    blk_b = sparse.csr_matrix((np.ones(nr * nc), (rows_j + 0, cols_i)), shape=(nc, nr * nc))
-    a_eq = sparse.vstack([blk_a, blk_b], format="csr")
-    b_eq = np.concatenate([a, b])
-
-    res = linprog(
-        c.reshape(-1),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
+    a_eq = sparse.bmat([[_lp.row_sums(nr, nc)], [_lp.col_sums(nr, nc)]], format="csr")
+    res = _lp.solve(c.reshape(-1), a_eq, np.concatenate([a, b]))
     if res.status != 0:
         raise ValueError(f"transport LP failed: {res.message}")
     pi = np.maximum(res.x.reshape(nr, nc), 0.0)
@@ -109,15 +90,10 @@ def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
     return TransportPlan(pi=pi, cost=realized)
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", d, d)
-
-
 def _w_exact(a: DiscreteDistribution, b: DiscreteDistribution, order: int) -> TransportPlan:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    sq = _pairwise_sq(a.points, b.points)
+    sq = sq_dists(a.points, b.points)
     cost = np.sqrt(sq) if order == 1 else sq
     plan = solve_transport_lp(cost, a.probs, b.probs)
     return TransportPlan(pi=plan.pi, cost=plan.cost, order=order, row=a, col=b)

@@ -28,6 +28,34 @@ SWEEP_GOLDEN = (
     "1,0.25,0.25,0.25,0.25,0.25,0.25\n"
 )
 
+THEOREM2_GAUSS33_GOLDEN = (
+    "lambda,w1_gap,mean_dev,mse,objective,flag\n"
+    "0,0,0.48320193894392066,0.72649447147063528,0,ok\n"
+    "0.25,0,0.48320193894392066,0.72649447147063528,0.12080048473598017,ok\n"
+    "0.5,0,0.48320193894392066,0.72649447147063528,0.24160096947196033,ok\n"
+    "0.90000000000000002,0,0.48320193894392066,0.72649447147063528,0.43488174504952859,ok\n"
+    "1.1000000000000001,0.48320193894392061,0,0.36324723573531748,0.48320193894392061,ok\n"
+    "1.5,0.48320193894392061,0,0.36324723573531748,0.48320193894392061,ok\n"
+    "2,0.48320193894392061,0,0.36324723573531748,0.48320193894392061,ok\n"
+)
+
+ORACLE_GAUSS33_GOLDEN = (
+    "{\n"
+    '  "perception": 0.050000000000000003,\n'
+    '  "D_star": 0.12778748362907305,\n'
+    '  "alpha": 0.66170819669002734,\n'
+    '  "D_predicted": 0.12726066580207168,\n'
+    '  "D_d": 0.11419234082251571,\n'
+    '  "P_d": 0.11419234082251573,\n'
+    '  "out_support_size": 136\n'
+    "}\n"
+)
+
+
+def _json_source(path, points):
+    path.write_text(json.dumps({"points": points, "probs": [1.0 / len(points)] * len(points)}))
+    return str(path)
+
 
 def test_parse_alpha_range_exact_grid():
     assert parse_alpha_range("0:1:0.25") == (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -78,6 +106,14 @@ def test_load_source_builtin_and_file(tmp_path):
 def test_sweep_golden_csv(capsys):
     assert main(["sweep", "--alphas", "0:1:0.25"]) == 0
     assert capsys.readouterr().out == SWEEP_GOLDEN
+
+
+def test_lp_artifacts_golden(capsys):
+    assert main(["theorem2", "--source", "builtin:gauss33", "--rate", "1"]) == 0
+    assert capsys.readouterr().out == THEOREM2_GAUSS33_GOLDEN
+    assert main(["oracle", "--source", "builtin:gauss33", "--rate", "2",
+                 "--perception", "0.05", "--format", "json"]) == 0
+    assert capsys.readouterr().out == ORACLE_GAUSS33_GOLDEN
 
 
 def test_sweep_json_rows(capsys):
@@ -172,6 +208,15 @@ def test_verify_passes_on_u4(capsys):
     assert all(ln.startswith("PASS ") for ln in lines[:-1])
 
 
+def test_verify_skips_dichotomy_at_lossless_rate(capsys):
+    # K = n: the copy-Xd decoder is the resampler, so the dichotomy has no
+    # second branch to test.
+    assert main(["verify", "--source", "builtin:u2", "--rate", "1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[-1] == "16/16 checks passed, 2 skipped"
+    assert any(ln.startswith("SKIP conditioning_dichotomy:") for ln in lines)
+
+
 def test_verify_fails_at_absurd_tolerance(capsys):
     rc = main(["verify", "--source", "builtin:gauss33", "--tol", "1e-300"])
     assert rc == 1
@@ -202,10 +247,25 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["mmse", "--source", str(tmp_path / "missing.json")],
         ["oracle", "--perception", "-0.1"],
         ["sweep", "--out", str(tmp_path / "no_dir" / "x.csv")],
+        # squared coordinates overflow: no encoder has a finite MSE, whether
+        # all K^n assignments or only interval partitions are searched
+        ["mmse", "--source", _json_source(tmp_path / "huge.json",
+                                          [[1e155], [2e155], [3e155], [4e155]])],
+        ["mmse", "--source", _json_source(tmp_path / "huge30.json",
+                                          [[(i + 1) * 1e155] for i in range(30)])],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
         capsys.readouterr()
+
+
+def test_mmse_near_duplicate_points_fill_every_cell(capsys, tmp_path):
+    # ex2 − Σ explained cancels at 1e-17 scale; an empty-cell assignment must
+    # not win on rounding.
+    src = _json_source(tmp_path / "near.json", [[0.0], [1e-17], [1.0], [2.0]])
+    assert main(["mmse", "--source", src, "--rate", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload["assignment"]) == [0, 1, 2, 3]
 
 
 def test_perception_error_message(capsys):
