@@ -68,60 +68,3 @@ from .augmented import (
 from .checks import CheckResult, report_text, run_checks
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DiscreteDistribution",
-    "JointXZ",
-    "builtin_source",
-    "conditional_x_given_z",
-    "expectation",
-    "gaussian_grid",
-    "joint_from_encoder",
-    "make_distribution",
-    "source_from_json",
-    "SIZE_CAP",
-    "TransportPlan",
-    "solve_transport_lp",
-    "w1_exact",
-    "w2sq_exact",
-    "w_1d_closed_form",
-    "DeterministicDecoder",
-    "Encoder",
-    "StochasticDecoder",
-    "check_zd_xd_bijective",
-    "codec_from_json",
-    "codec_to_json",
-    "decoder_output_dist",
-    "distortion",
-    "exhaustive_optimal_encoder",
-    "lloyd_train",
-    "mmse_decoder_for",
-    "perceptual_decoder_for",
-    "InterpolatedDecoder",
-    "TradeoffPoint",
-    "UniversalityReport",
-    "UniversalityRow",
-    "alpha_for_perception",
-    "constrained_oracle",
-    "default_oracle_support",
-    "dp_derivatives",
-    "evaluate_point",
-    "interpolate",
-    "predicted_distortion",
-    "predicted_perception",
-    "sweep",
-    "sweep_to_csv",
-    "universal_encoder_check",
-    "AugmentedSolution",
-    "augmented_objective",
-    "beta_to_lambda",
-    "conditioning_equivalence",
-    "matched_pair_floor",
-    "phase_sweep",
-    "phase_to_csv",
-    "solve_augmented",
-    "CheckResult",
-    "report_text",
-    "run_checks",
-    "__version__",
-]

@@ -44,6 +44,7 @@ from .tradeoff import (
 from .transport import w1_exact, w2sq_exact, w_1d_closed_form
 
 UNIVERSALITY_CAP = 1024  # K^n above this -> the brute-force check is skipped
+_PHASE_LAMBDAS = (0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,14 @@ class _Ctx:
         self.k = k
         self.seed = seed
         self.rel_tol = rel_tol
-        self.rng = np.random.default_rng(seed)
         self.enc, self.gd, self.d_d = exhaustive_optimal_encoder(source, k)
         self.gp = perceptual_decoder_for(source, self.enc)
-        self.p_d = w2sq_exact(source, make_distribution(
-            self.gd.table, joint_from_encoder(source, self.enc).z_marginal())).cost
-        self.alphas21 = [i / 20 for i in range(21)]
-        self.points21 = sweep(source, self.enc, self.gd, self.gp, self.alphas21)
+        self.alphas101 = [i / 100 for i in range(101)]
+        self.points101 = sweep(source, self.enc, self.gd, self.gp, self.alphas101)
+        # i/100 and (i/5)/20 are the same double for i = 0, 5, ..., 100
+        self.points21 = self.points101[::5]
+        self.p_d = self.points101[0].p_d
+        self.phase = phase_sweep(source, self.enc, self.gd, _PHASE_LAMBDAS)
 
 
 def _check_canonical_support(ctx: _Ctx) -> CheckResult:
@@ -223,12 +225,10 @@ def _check_universality(ctx: _Ctx) -> CheckResult:
 
 
 def _check_phase_transition(ctx: _Ctx) -> CheckResult:
-    lams = [0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0]
-    sols = phase_sweep(ctx.source, ctx.enc, ctx.gd, lams)
     worst = 0.0
     consistency = 0.0
     flags_ok = True
-    for s in sols:
+    for s in ctx.phase:
         recomputed = augmented_objective(ctx.source, ctx.enc, ctx.gd, s.decoder, s.lam)
         consistency = max(consistency, abs(recomputed - s.objective))
         if abs(s.lam - 1.0) <= 1e-9:
@@ -251,11 +251,10 @@ def _check_objective_floor(ctx: _Ctx) -> CheckResult:
     floor = matched_pair_floor(ctx.source, ctx.enc, ctx.gd)
     worst_under = 0.0
     worst_eq = 0.0
-    for lam in (0.25, 0.5, 0.9):
-        sols = phase_sweep(ctx.source, ctx.enc, ctx.gd, [lam])
-        obj = sols[0].objective
-        worst_under = max(worst_under, lam * floor - obj)
-        worst_eq = max(worst_eq, abs(obj - lam * floor))
+    for s in ctx.phase:
+        if s.lam in (0.25, 0.5, 0.9):
+            worst_under = max(worst_under, s.lam * floor - s.objective)
+            worst_eq = max(worst_eq, abs(s.objective - s.lam * floor))
     ok = worst_under <= 1e-9 and worst_eq <= 1e-8
     return CheckResult(
         "objective_floor", ok,
@@ -302,10 +301,9 @@ def _check_derivative_consistency(ctx: _Ctx) -> CheckResult:
             "derivative_consistency", True,
             "skipped: D_d = 0 leaves no curve to differentiate", skipped=True,
         )
-    alphas = [i / 100 for i in range(101)]
-    pts = sweep(ctx.source, ctx.enc, ctx.gd, ctx.gp, alphas)
-    d = [p.d_measured for p in pts]
-    p = [p.p_measured for p in pts]
+    alphas = ctx.alphas101
+    d = [p.d_measured for p in ctx.points101]
+    p = [p.p_measured for p in ctx.points101]
     worst = 0.0
     slopes = []
     for i in range(1, 100):

@@ -108,9 +108,12 @@ class StochasticDecoder:
 Decoder = Union[DeterministicDecoder, StochasticDecoder]
 
 
-def _cell_masses(source: DiscreteDistribution, enc: Encoder) -> np.ndarray:
-    j = joint_from_encoder(source, enc)
-    return j.z_marginal()
+def _require_finite_mse(source: DiscreteDistribution) -> None:
+    """Refuse a source whose E‖X‖² overflows: every candidate MSE is inf or nan,
+    so no search can rank encoders on it."""
+    ex2 = float(np.einsum("i,id,id->", source.probs, source.points, source.points))
+    if not math.isfinite(ex2):
+        raise ValueError("no encoder has a finite MSE: E‖X‖² overflows float64")
 
 
 def mmse_decoder_for(source: DiscreteDistribution, enc: Encoder) -> DeterministicDecoder:
@@ -156,7 +159,7 @@ def decoder_output_dist(
     source: DiscreteDistribution, enc: Encoder, dec: Decoder
 ) -> DiscreteDistribution:
     """Exact output marginal p_{X̂} = Σ_z p(z) q(.|z)."""
-    pz = _cell_masses(source, enc)
+    pz = joint_from_encoder(source, enc).z_marginal()
     if isinstance(dec, DeterministicDecoder):
         return make_distribution(dec.table, pz)
     return make_distribution(dec.out_support, pz @ dec.table)
@@ -190,6 +193,7 @@ def lloyd_train(
         raise ValueError(f"K > n: {K} codes for {n} support points")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    _require_finite_mse(source)
     pts, probs = source.points, source.probs
 
     rng = np.random.default_rng(seed)
@@ -282,7 +286,7 @@ def _exhaustive_1d_intervals(source, K):
     return _assignment_from_breaks(best_breaks, source.n)
 
 
-def _exhaustive_full(source, K, cap):
+def _exhaustive_full(source, K):
     n = source.n
     pts, probs = source.points, source.probs
     ex2 = float(np.einsum("i,id,id->", probs, pts, pts))
@@ -294,7 +298,9 @@ def _exhaustive_full(source, K, cap):
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         idx = np.arange(lo, hi, dtype=np.int64)
-        assigns = np.stack(np.unravel_index(idx, (K,) * n), axis=1)
+        # base-K digits of idx, most significant first; unlike np.unravel_index
+        # this has no 64-dimension limit, which K = 1 reaches at n > 64
+        assigns = idx[:, None] // K ** np.arange(n - 1, -1, -1, dtype=np.int64) % K
         onehot = (assigns[:, :, None] == codes[None, None, :]).astype(np.float64)
         m = np.einsum("bik,i->bk", onehot, probs)
         s = np.einsum("bik,i,id->bkd", onehot, probs, pts)
@@ -325,12 +331,9 @@ def exhaustive_optimal_encoder(
     """
     if K > source.n:
         raise ValueError(f"K > n: {K} codes for {source.n} support points")
-    ex2 = float(np.einsum("i,id,id->", source.probs, source.points, source.points))
-    if not math.isfinite(ex2):
-        # every candidate MSE would be inf or nan
-        raise ValueError("no encoder has a finite MSE: E‖X‖² overflows float64")
+    _require_finite_mse(source)
     if K ** source.n <= cap:
-        assign = _exhaustive_full(source, K, cap)
+        assign = _exhaustive_full(source, K)
     elif source.dim == 1:
         assign = _exhaustive_1d_intervals(source, K)
     else:

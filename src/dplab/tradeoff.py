@@ -10,14 +10,14 @@ with alpha = min(sqrt(P/P_d), 1). constrained_oracle() solves the constrained
 problem directly as one LP over stochastic decoder rows plus a coupling, so
 those identities can be checked against an optimizer that knows nothing about
 the interpolation construction. universal_encoder_check() brute-forces every
-encoder to confirm none beats the MMSE partition at any perception budget.
+partition of the support to confirm none beats the MMSE partition at any
+perception budget.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -32,8 +32,10 @@ from .codec import (
     decoder_output_dist,
     distortion,
     exhaustive_optimal_encoder,
+    mmse_decoder_for,
+    perceptual_decoder_for,
 )
-from .distcore import DiscreteDistribution, joint_from_encoder, make_distribution, sq_dists
+from .distcore import DiscreteDistribution, joint_from_encoder, sq_dists
 from .transport import w2sq_exact
 
 SWEEP_COLUMNS = ("alpha", "D_measured", "P_measured", "D_predicted", "P_predicted", "D_d", "P_d")
@@ -134,31 +136,36 @@ def dp_derivatives(alpha: float, d_d: float) -> Tuple[float, float]:
 def evaluate_point(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
                    gp: StochasticDecoder, alpha: float) -> TradeoffPoint:
     """Measure (D, P) of the realized decoder and pair with the predictions."""
-    realized = interpolate(gd, gp, alpha).realized
-    d_meas = distortion(source, enc, realized)
-    p_meas = w2sq_exact(source, decoder_output_dist(source, enc, realized)).cost
-    d_d = distortion(source, enc, gd)
-    p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
-    return TradeoffPoint(
-        alpha=float(alpha),
-        d_measured=d_meas,
-        p_measured=p_meas,
-        d_predicted=predicted_distortion(alpha, d_d),
-        p_predicted=predicted_perception(alpha, p_d),
-        d_d=d_d,
-        p_d=p_d,
-    )
+    return sweep(source, enc, gd, gp, [alpha])[0]
 
 
 def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
           gp: StochasticDecoder, alphas: Sequence[float]) -> list:
-    """One TradeoffPoint per grid value, emitted in grid order."""
+    """One TradeoffPoint per grid value, emitted in grid order.
+
+    The endpoint D_d and P_d depend on the codec alone, so each is solved once
+    per grid; every alpha then costs one distortion sum and one W2 LP.
+    """
     alphas = [float(a) for a in alphas]
     if any(not 0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha out of range [0, 1]")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be sorted ascending")
-    return [evaluate_point(source, enc, gd, gp, a) for a in alphas]
+    d_d = distortion(source, enc, gd)
+    p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+    points = []
+    for a in alphas:
+        realized = interpolate(gd, gp, a).realized
+        points.append(TradeoffPoint(
+            alpha=a,
+            d_measured=distortion(source, enc, realized),
+            p_measured=w2sq_exact(source, decoder_output_dist(source, enc, realized)).cost,
+            d_predicted=predicted_distortion(a, d_d),
+            p_predicted=predicted_perception(a, p_d),
+            d_d=d_d,
+            p_d=p_d,
+        ))
+    return points
 
 
 def sweep_to_csv(points: Sequence[TradeoffPoint]) -> str:
@@ -255,36 +262,36 @@ class UniversalityReport:
         return self.max_rel_gap <= tol
 
 
-def _candidate_support(source: DiscreteDistribution, assignment: np.ndarray, k: int,
-                       p_budget: float, alphas: Sequence[float]) -> np.ndarray:
-    """Interpolation-image support for an arbitrary assignment.
+def _set_partitions(n: int, k: int, prefix: tuple = (0,)):
+    """Every partition of range(n) into at most k cells, once each.
 
-    Works on nonempty cells only, so assignments that waste codes still get a
-    fair candidate set (their empty rows cost the LP nothing).
+    A partition is labeled by first occurrence (point 0 has code 0, and each
+    new cell takes the next free code), which is its lexicographically
+    smallest labeling; partitions come in lexicographic order of that labeling.
     """
-    pts, probs = source.points, source.probs
-    parts = [pts]
-    cell_means = []
-    cell_masses = []
-    cell_masks = []
-    for z in range(k):
-        mask = assignment == z
-        w = probs[mask]
-        if w.size == 0:
-            continue
-        cell_means.append((w @ pts[mask]) / w.sum())
-        cell_masses.append(w.sum())
-        cell_masks.append(mask)
-    means = np.asarray(cell_means)
-    out_law = make_distribution(means, np.asarray(cell_masses))
-    p_d = w2sq_exact(source, out_law).cost
-    alpha_set = sorted(set(float(a) for a in alphas)
-                       | {min(math.sqrt(p_budget / p_d), 1.0) if p_d > 0 else 1.0})
-    for a in alpha_set:
-        for mean, mask in zip(means, cell_masks):
-            parts.append(a * mean[None, :] + (1.0 - a) * pts[mask])
-    parts.append(means)
-    return np.unique(np.vstack(parts), axis=0)
+    if len(prefix) == n:
+        yield prefix
+        return
+    for z in range(min(max(prefix) + 2, k)):
+        yield from _set_partitions(n, k, prefix + (z,))
+
+
+def _oracle_values(source: DiscreteDistribution, enc: Encoder, p_grid: Sequence[float],
+                   support_alphas: Sequence[float]) -> list:
+    """D*(P) of one encoder at each budget, over its own interpolation images.
+
+    Builds the encoder's two decoders and its P_d once; the candidate support
+    for budget P adds the image at alpha(P) to the support_alphas images.
+    """
+    gd = mmse_decoder_for(source, enc)
+    gp = perceptual_decoder_for(source, enc)
+    p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+    values = []
+    for p in p_grid:
+        a = alpha_for_perception(p, p_d) if p_d > 0 else 1.0
+        sup = default_oracle_support(source, gd, gp, (*support_alphas, a))
+        values.append(constrained_oracle(source, enc, p, sup)[0])
+    return values
 
 
 def universal_encoder_check(source: DiscreteDistribution, k: int, p_grid: Sequence[float],
@@ -292,9 +299,13 @@ def universal_encoder_check(source: DiscreteDistribution, k: int, p_grid: Sequen
                             cap: int = ENUMERATION_CAP) -> UniversalityReport:
     """Brute-force confirmation that the MMSE partition is universally optimal.
 
-    For each budget P, runs the constrained oracle under every one of the K^n
-    assignments and reports the relative gap between the MMSE-optimal
-    encoder's value and the overall minimum.
+    The oracle value of an encoder depends only on the partition it induces,
+    not on its code labels, so each partition of the support into at most K
+    cells is visited once, as an encoder with one code per nonempty cell. For
+    each budget P the constrained oracle runs on every such encoder, with the
+    candidate support built from that encoder's own decoders, and the report
+    gives the relative gap between the MMSE-optimal encoder's value and the
+    overall minimum. The cap still bounds the K^n labeled assignments.
     """
     n = source.n
     if k**n > cap:
@@ -304,24 +315,17 @@ def universal_encoder_check(source: DiscreteDistribution, k: int, p_grid: Sequen
         raise ValueError("perception must be ≥ 0")
 
     enc0, _, _ = exhaustive_optimal_encoder(source, k)
-    d_mmse = {}
-    for p in p_grid:
-        sup = _candidate_support(source, np.asarray(enc0.assignment), k, p, support_alphas)
-        d_mmse[p], _ = constrained_oracle(source, enc0, p, sup)
+    d_mmse = _oracle_values(source, enc0, p_grid, support_alphas)
 
-    best = {p: (math.inf, None) for p in p_grid}
-    for assign in itertools.product(range(k), repeat=n):
-        a = np.asarray(assign, dtype=np.int64)
-        enc = Encoder(a, k)
-        for p in p_grid:
-            sup = _candidate_support(source, a, k, p, support_alphas)
-            d_star, _ = constrained_oracle(source, enc, p, sup)
-            if d_star < best[p][0]:
-                best[p] = (d_star, assign)
+    best = [(math.inf, None)] * len(p_grid)
+    for assign in _set_partitions(n, k):
+        enc = Encoder(np.asarray(assign, dtype=np.int64), max(assign) + 1)
+        for i, d_star in enumerate(_oracle_values(source, enc, p_grid, support_alphas)):
+            if d_star < best[i][0]:
+                best[i] = (d_star, assign)
 
     rows = []
-    for p in p_grid:
-        d_best, arg = best[p]
-        gap = (d_mmse[p] - d_best) / max(abs(d_best), 1e-300)
-        rows.append(UniversalityRow(p, d_mmse[p], d_best, tuple(arg), max(gap, 0.0)))
+    for p, d0, (d_best, arg) in zip(p_grid, d_mmse, best):
+        gap = (d0 - d_best) / max(abs(d_best), 1e-300)
+        rows.append(UniversalityRow(p, d0, d_best, arg, max(gap, 0.0)))
     return UniversalityReport(k, tuple(rows))

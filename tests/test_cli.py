@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dplab
 from dplab.cli import (
     build_parser,
     load_source,
@@ -49,6 +53,28 @@ ORACLE_GAUSS33_GOLDEN = (
     '  "P_d": 0.11419234082251573,\n'
     '  "out_support_size": 136\n'
     "}\n"
+)
+
+VERIFY_U4_GOLDEN = (
+    "PASS canonical_support: rebuild bit-stable=True, unique support=True, mass gap 0 (tol 1e-12)\n"
+    "PASS conditional_reassembly: max |Σ_z p(z)p(x|z) − p(x)| = 0 (tol 1e-12)\n"
+    "PASS resampler_marginal: support match=True, max prob gap 0 (tol 1e-15)\n"
+    "PASS mean_residual_orthogonality: max |E[(X−Xd)·f(Xd)]| over 20 draws = 0 (tol 1e-10)\n"
+    "PASS cross_term_identity: |E‖Xd−Xp‖² − E‖X−Xd‖²| = 0 (tol 1e-10)\n"
+    "PASS training_monotonicity: max MSE increase along trace = 0 (tol 1e-12), final 0.25 ≥ exhaustive 0.25\n"
+    "PASS endpoint_doubling: |D(0) − 2·D_d| = 0 with D(0)=0.5, D_d=0.25 (tol 1e-8)\n"
+    "PASS interpolation_identities: 21-point grid: max |D−(1+(1−α)²)D_d| = 1.11e-16, max |P−α²P_d| = 8.33e-17 (tol 1e-8)\n"
+    "PASS oracle_tightness: max rel |D* − D(α)| over α∈{0,.25,.5,.75,1} = 0 (tol 1e-06)\n"
+    "PASS encoder_universality: max rel MMSE-encoder gap over 16 assignments x 5 budgets = 0 (tol 1e-06)\n"
+    "PASS phase_transition: max branch residual 0 (tol 1e-8), objective recompute gap 0 (tol 1e-9), flags ok=True\n"
+    "PASS objective_floor: max (λ·W₁ − objective) = 0 (tol 1e-9), max |objective − λ·W₁| = 0 (tol 1e-8)\n"
+    "PASS beta_map: strictly decreasing=True, λ(1)=0 True, |λ(0.5)−1| = 0\n"
+    "PASS conditioning_dichotomy: resampler gaps (0, 0) ≤ 1e-10; copy-Xd gaps (0.5, 0.5) both positive\n"
+    "PASS derivative_consistency: max rel |ΔP/ΔD − α/(α−1)| = 1.13e-13 (tol 1e-3), slopes negative=True, convex in D=True\n"
+    "PASS transport_agreement: max |LP − closed form| over 50 seeded pairs, both orders = 1.17e-15 (tol 1e-10)\n"
+    "PASS transport_axioms: 100 triples: max symmetry gap 8.88e-16, max triangle excess 0 (tol 1e-10), max W₁(a,a) 0 (tol 1e-12)\n"
+    "PASS optimal_pair_structure: |P_d − D_d| = 0 (tol 1e-9), gd bijective=True, LP vs closed-form P_d gap 0 (tol 1e-10)\n"
+    "18/18 checks passed\n"
 )
 
 
@@ -208,6 +234,11 @@ def test_verify_passes_on_u4(capsys):
     assert all(ln.startswith("PASS ") for ln in lines[:-1])
 
 
+def test_verify_golden_report(capsys):
+    assert main(["verify", "--source", "builtin:u4", "--rate", "1"]) == 0
+    assert capsys.readouterr().out == VERIFY_U4_GOLDEN
+
+
 def test_verify_skips_dichotomy_at_lossless_rate(capsys):
     # K = n: the copy-Xd decoder is the resampler, so the dichotomy has no
     # second branch to test.
@@ -233,6 +264,7 @@ def test_lloyd_method_from_cli(capsys):
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
+    huge = _json_source(tmp_path / "huge.json", [[1e155], [2e155], [3e155], [4e155]])
     cases = [
         ["sweep", "--no-such-flag"],
         ["frobnicate"],
@@ -248,11 +280,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["oracle", "--perception", "-0.1"],
         ["sweep", "--out", str(tmp_path / "no_dir" / "x.csv")],
         # squared coordinates overflow: no encoder has a finite MSE, whether
-        # all K^n assignments or only interval partitions are searched
-        ["mmse", "--source", _json_source(tmp_path / "huge.json",
-                                          [[1e155], [2e155], [3e155], [4e155]])],
+        # all K^n assignments or only interval partitions are searched, or
+        # Lloyd iterations rank the points
+        ["mmse", "--source", huge],
         ["mmse", "--source", _json_source(tmp_path / "huge30.json",
                                           [[(i + 1) * 1e155] for i in range(30)])],
+        ["mmse", "--method", "lloyd", "--rate", "1", "--source", huge],
+        ["sweep", "--method", "lloyd", "--source", huge],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
@@ -266,6 +300,16 @@ def test_mmse_near_duplicate_points_fill_every_cell(capsys, tmp_path):
     assert main(["mmse", "--source", src, "--rate", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert sorted(payload["assignment"]) == [0, 1, 2, 3]
+
+
+def test_rate_zero_on_more_than_64_points(capsys, tmp_path):
+    # K = 1 passes the enumeration cap at any n (K^n = 1); the search must not
+    # build an n-dimensional index
+    spec = tmp_path / "grid600.json"
+    spec.write_text(json.dumps({"kind": "gaussian-grid", "mean": 0.0, "std": 1.0,
+                                "n": 600, "halfwidth": 4.0}))
+    assert main(["mmse", "--source", str(spec), "--rate", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["assignment"] == [0] * 600
 
 
 def test_perception_error_message(capsys):
@@ -290,9 +334,17 @@ def test_parser_defaults():
     assert args.format == "csv" and args.alphas == "0:1:0.05"
 
 
-@pytest.mark.skipif(shutil.which("dplab") is None, reason="entry point not on PATH")
 def test_installed_entry_point():
-    proc = subprocess.run(["dplab", "sweep", "--alphas", "0:1:0.25"],
-                          capture_output=True, text=True, timeout=120)
+    # the console script when installed, else the same main() as a module; a
+    # fresh process either way
+    if shutil.which("dplab"):
+        cmd, env = ["dplab"], None
+    else:
+        src = str(Path(dplab.__file__).resolve().parents[1])
+        cmd = [sys.executable, "-m", "dplab.cli"]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(cmd + ["sweep", "--alphas", "0:1:0.25"],
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout == SWEEP_GOLDEN

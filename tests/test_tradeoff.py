@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dplab.tradeoff
 from dplab.codec import (
     Encoder,
     exhaustive_optimal_encoder,
@@ -140,6 +143,17 @@ def test_sweep_five_point_grid(u4_pair):
     assert all(abs(p.p_d - 0.25) <= 1e-9 for p in pts)
 
 
+def test_sweep_solves_p_d_once(u4_pair, monkeypatch):
+    # one W2 LP per alpha plus one for P_d, which depends on the codec alone
+    enc, gd, gp, _ = u4_pair
+    calls = []
+    w2 = dplab.tradeoff.w2sq_exact
+    monkeypatch.setattr(dplab.tradeoff, "w2sq_exact",
+                        lambda *args: calls.append(args) or w2(*args))
+    sweep(U4, enc, gd, gp, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert len(calls) == 6
+
+
 def test_sweep_validation_and_empty(u4_pair):
     enc, gd, gp, _ = u4_pair
     assert sweep(U4, enc, gd, gp, []) == []
@@ -232,6 +246,28 @@ def test_universality_u4():
     assert [r.p_budget for r in report.rows] == [0.0, 0.0625, 0.25]
     for r in report.rows:
         assert r.d_star_mmse <= r.d_star_best * (1 + 1e-6) + 1e-12
+
+
+def test_universality_one_encoder_per_partition(monkeypatch):
+    # 8 partitions of 4 points into at most 2 cells, 2 budgets each, plus the
+    # MMSE encoder's 2; relabelings of a partition are not re-solved
+    calls = []
+    oracle = dplab.tradeoff.constrained_oracle
+    monkeypatch.setattr(dplab.tradeoff, "constrained_oracle",
+                        lambda *args: calls.append(args) or oracle(*args))
+    report = universal_encoder_check(U4, 2, [0.0, 0.25])
+    assert len(calls) == 18
+    assert report.ok(1e-6)
+    assert [r.best_assignment for r in report.rows] == [(0, 0, 1, 1)] * 2
+
+
+def test_set_partitions_first_occurrence_labels():
+    # the lexicographically smallest labeling of each partition, in order
+    for n in range(1, 7):
+        for k in range(1, 5):
+            labels = [a for a in itertools.product(range(k), repeat=n)
+                      if all(a[i] <= max(a[:i], default=-1) + 1 for i in range(n))]
+            assert list(dplab.tradeoff._set_partitions(n, k)) == labels
 
 
 def test_universality_two_cluster():
