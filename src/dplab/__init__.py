@@ -39,7 +39,6 @@ from .codec import (
     perceptual_decoder_for,
 )
 from .tradeoff import (
-    InterpolatedDecoder,
     TradeoffPoint,
     UniversalityReport,
     UniversalityRow,

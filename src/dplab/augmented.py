@@ -14,9 +14,8 @@ of (X, Xd) exactly (MSE doubles), above it the decoder collapses onto Xd
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -31,7 +30,7 @@ from .codec import (
     distortion,
 )
 from .distcore import DiscreteDistribution, joint_from_encoder, make_distribution, sq_dists
-from .transport import w1_exact
+from .transport import SIZE_CAP, w1_exact
 LP_VARIABLE_CAP = 2_000_000
 INDETERMINATE_BAND = 1e-9
 
@@ -59,8 +58,7 @@ def _pair_laws(source: DiscreteDistribution, enc: Encoder, tags: np.ndarray,
     T = tags[Z]: the gd table gives the Xd pairs, a code-index column the Zd
     pairs.
     """
-    j = joint_from_encoder(source, enc)
-    pz = j.z_marginal()
+    pz = joint_from_encoder(source, enc).z_marginal()
     blocks, masses = [], []
     for z in range(enc.K):
         if pz[z] <= 0:
@@ -112,8 +110,10 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
         raise ValueError("lambda must be >= 0")
     if gd.K != enc.K:
         raise ValueError("decoder K does not match encoder K")
-    j = joint_from_encoder(source, enc)
-    pz = j.z_marginal()
+    # the W1 gap of the solution couples n source atoms, so refuse before the LP
+    if source.n > SIZE_CAP:
+        raise ValueError(f"size cap exceeded: {source.n} support points > {SIZE_CAP}")
+    pz = joint_from_encoder(source, enc).z_marginal()
     if np.any(pz <= 0):
         raise ValueError(f"empty cell {int(np.argmin(pz))}")
 
@@ -208,14 +208,9 @@ def beta_to_lambda(beta: float) -> float:
 
 def matched_pair_floor(source: DiscreteDistribution, enc: Encoder,
                        gd: DeterministicDecoder) -> float:
-    """W1(p_{Yd}, p_Y): the sandwich lower bound scale for lambda < 1."""
-    j = joint_from_encoder(source, enc)
-    pz = j.z_marginal()
-    yd_law = make_distribution(np.hstack([gd.table, gd.table]), pz)
-    y_law = make_distribution(
-        np.hstack([source.points, gd.table[enc.assignment]]), source.probs
-    )
-    return w1_exact(yd_law, y_law).cost
+    """W1(p_{Yd}, p_Y) with Yd = (Xd, Xd): the sandwich lower bound scale for lambda < 1."""
+    copy_xd = StochasticDecoder(gd.table, np.eye(enc.K))
+    return w1_exact(*_pair_laws(source, enc, gd.table, copy_xd)).cost
 
 
 def conditioning_equivalence(source: DiscreteDistribution, enc: Encoder,

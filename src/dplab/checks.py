@@ -21,10 +21,10 @@ from .augmented import (
 )
 from .codec import (
     StochasticDecoder,
-    distortion,
+    check_zd_xd_bijective,
+    decoder_output_dist,
     exhaustive_optimal_encoder,
     lloyd_train,
-    mmse_decoder_for,
     perceptual_decoder_for,
 )
 from .distcore import (
@@ -121,8 +121,6 @@ def _check_conditional_reassembly(ctx: _Ctx) -> CheckResult:
 
 
 def _check_resampler_marginal(ctx: _Ctx) -> CheckResult:
-    from .codec import decoder_output_dist
-
     out = decoder_output_dist(ctx.source, ctx.enc, ctx.gp)
     same_support = np.array_equal(out.points, ctx.source.points)
     gap = (float(np.max(np.abs(out.probs - ctx.source.probs)))
@@ -363,8 +361,6 @@ def _check_transport_axioms(ctx: _Ctx) -> CheckResult:
 
 
 def _check_optimal_pair_structure(ctx: _Ctx) -> CheckResult:
-    from .codec import check_zd_xd_bijective
-
     gap_pd = abs(ctx.p_d - ctx.d_d)
     bij = check_zd_xd_bijective(ctx.enc, ctx.gd)
     closed_ok = True

@@ -11,7 +11,6 @@ expectation downstream is an exact finite sum.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -21,7 +20,6 @@ import numpy as np
 from .distcore import (
     MASS_TOL,
     DiscreteDistribution,
-    JointXZ,
     _readonly,
     joint_from_encoder,
     make_distribution,
@@ -141,17 +139,14 @@ def perceptual_decoder_for(source: DiscreteDistribution, enc: Encoder) -> Stocha
 
 def distortion(source: DiscreteDistribution, enc: Encoder, dec: Decoder) -> float:
     """Exact E‖X − X̂‖² under the joint law p(x, z) and the decoder rows."""
-    j = joint_from_encoder(source, enc)
-    assignment = enc.assignment
-    if isinstance(dec, DeterministicDecoder):
-        if dec.K != enc.K:
-            raise ValueError("decoder K does not match encoder K")
-        diff = source.points - dec.table[assignment]
-        return float(np.einsum("i,id,id->", source.probs, diff, diff))
+    joint_from_encoder(source, enc)  # validates the assignment
     if dec.K != enc.K:
         raise ValueError("decoder K does not match encoder K")
+    if isinstance(dec, DeterministicDecoder):
+        diff = source.points - dec.table[enc.assignment]
+        return float(np.einsum("i,id,id->", source.probs, diff, diff))
     sq = sq_dists(source.points, dec.out_support)
-    rows = dec.table[assignment]
+    rows = dec.table[enc.assignment]
     return float(np.einsum("i,im,im->", source.probs, rows, sq))
 
 
@@ -242,48 +237,63 @@ def lloyd_train(
     return enc, mmse_decoder_for(source, enc)
 
 
-def _interval_mse(pref_p, pref_x, pref_xx, lo, hi) -> float:
-    m = pref_p[hi] - pref_p[lo]
-    s = pref_x[hi] - pref_x[lo]
-    q = pref_xx[hi] - pref_xx[lo]
-    return q - s * s / m
+def _sum_bound(c, h):
+    """Largest doubles v with fl(v + c) <= h, elementwise.
+
+    fl(v + c) is monotone in v, so single-ulp steps reach v from the rounding
+    boundary (halfway from h to the next double) minus c. They are an ulp or
+    two: wherever v is small beside h, c is close to h and h - c is exact.
+    """
+    v = (h - c) + (np.nextafter(h, np.inf) - h) / 2
+    while (over := v + c > h).any():
+        v = np.where(over, np.nextafter(v, -np.inf), v)
+    while (fits := np.nextafter(v, np.inf) + c <= h).any():
+        v = np.where(fits, np.nextafter(v, np.inf), v)
+    return v
 
 
-def _assignment_from_breaks(breaks, n: int) -> np.ndarray:
-    a = np.zeros(n, dtype=np.int64)
-    edges = list(breaks) + [n]
-    lo = 0
-    for z, hi in enumerate(edges):
-        a[lo:hi] = z
-        lo = hi
-    return a
+def _interval_dp(source, K):
+    # For scalar squared error some optimal quantizer has interval cells
+    # [b_{t-1}, b_t), 0 = b_0 < ... < b_K = n. Of all C(n-1, K-1) break tuples
+    # this returns the least left-to-right float sum of cell MSEs and, among
+    # exact ties, the lexicographically largest tuple: the smallest assignment.
+    x, p, n = source.points[:, 0], source.probs, source.n
+    pref_p, pref_x, pref_xx = (np.concatenate([[0.0], np.cumsum(v)])
+                               for v in (p, p * x, p * x * x))
 
+    def cell(i, j):  # MSE of points [i, j); 0, not s²/0 = -inf, where their mass rounds away
+        s, m = pref_x[j] - pref_x[i], pref_p[j] - pref_p[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(m > 0, (pref_xx[j] - pref_xx[i]) - s * s / m, 0.0)
 
-def _exhaustive_1d_intervals(source, K):
-    # For scalar squared error some globally optimal quantizer has interval
-    # cells, so searching the C(n-1, K-1) ordered partitions attains the
-    # global minimum without touching the K^n assignment space.
-    x = source.points[:, 0]
-    p = source.probs
-    pref_p = np.concatenate([[0.0], np.cumsum(p)])
-    pref_x = np.concatenate([[0.0], np.cumsum(p * x)])
-    pref_xx = np.concatenate([[0.0], np.cumsum(p * x * x)])
-    best_mse = np.inf
-    best_breaks = None
-    for breaks in itertools.combinations(range(1, source.n), K - 1):
-        edges = (0,) + breaks + (source.n,)
-        mse = sum(
-            _interval_mse(pref_p, pref_x, pref_xx, edges[i], edges[i + 1]) for i in range(K)
-        )
-        if mse < best_mse:
-            best_mse = mse
-            best_breaks = breaks
-        elif mse == best_mse and best_breaks is not None:
-            a_new = _assignment_from_breaks(breaks, source.n)
-            a_old = _assignment_from_breaks(best_breaks, source.n)
-            if tuple(a_new) < tuple(a_old):
-                best_breaks = breaks
-    return _assignment_from_breaks(best_breaks, source.n)
+    # best[j]: least MSE of points [0, j) in t cells. Rounding is monotone, so
+    # extending the least prefix sum gives the least total.
+    best = np.full(n + 1, np.inf)
+    best[1:] = cell(0, np.arange(1, n + 1))
+    for t in range(2, K + 1):
+        prev, best = best, np.full(n + 1, np.inf)
+        for j in [n] if t == K else range(t, n - K + t + 1):
+            i = np.arange(t - 1, j)
+            best[j] = (prev[i] + cell(i, j)).min()
+    # A tied tuple may pass through a larger prefix sum that rounding absorbs
+    # later, so ties are settled on caps[r, b]: the largest running sum at
+    # break b from which r more cells still end on the least total.
+    caps = np.full((K + 1, n + 1), -np.inf)
+    b = np.arange(K - 1, n)
+    caps[1, b] = _sum_bound(cell(b, n), best[n])
+    for r in range(2, K):
+        for b in range(K - r, n - r + 1):
+            j = np.arange(b + 1, n - r + 2)
+            caps[r, b] = _sum_bound(cell(b, j), caps[r - 1, j]).max()
+    # Take each break as late as a tie allows, summing left to right.
+    b, v, breaks = 0, 0.0, []
+    for r in range(K - 1, 0, -1):
+        j = np.arange(b + 1, n - r + 1)
+        w = v + cell(b, j)
+        k = np.flatnonzero(w <= caps[r, j])[-1]
+        b, v = int(j[k]), w[k]
+        breaks.append(b)
+    return np.searchsorted(breaks, np.arange(n), side="right")
 
 
 def _exhaustive_full(source, K):
@@ -325,9 +335,13 @@ def exhaustive_optimal_encoder(
 ) -> Tuple[Encoder, DeterministicDecoder, float]:
     """Globally MSE-optimal encoder, its conditional-mean decoder, and D_d.
 
-    Enumerates all K^n assignments (lexicographic tie-break) when that fits
-    under the cap; 1-D sources above the cap fall back to interval-partition
-    enumeration, which still certifies the global optimum for squared error.
+    Both searches are exact. With K^n <= cap, any dimension, all K^n
+    assignments are scored; 1-D sources above the cap take an O(K·n²) dynamic
+    program over interval cells, which some optimal scalar quantizer has; other
+    sources are refused. Each breaks exact float ties toward the smallest
+    assignment, but the two round differently, so optima that tie in exact
+    arithmetic can differ: a uniform 5-point source at K = 2 gives
+    [0,0,0,1,1] under the cap and [0,0,1,1,1] above it.
     """
     if K > source.n:
         raise ValueError(f"K > n: {K} codes for {source.n} support points")
@@ -335,7 +349,7 @@ def exhaustive_optimal_encoder(
     if K ** source.n <= cap:
         assign = _exhaustive_full(source, K)
     elif source.dim == 1:
-        assign = _exhaustive_1d_intervals(source, K)
+        assign = _interval_dp(source, K)
     else:
         raise ValueError(f"enumeration cap exceeded: K^n = {K}^{source.n} > {cap}")
     enc = Encoder(assign, K)

@@ -41,16 +41,6 @@ from .transport import w2sq_exact
 SWEEP_COLUMNS = ("alpha", "D_measured", "P_measured", "D_predicted", "P_predicted", "D_d", "P_d")
 
 
-@dataclass(frozen=True, eq=False)
-class InterpolatedDecoder:
-    """alpha-blend of a deterministic table gd and a stochastic table gp."""
-
-    alpha: float
-    gd: DeterministicDecoder
-    gp: StochasticDecoder
-    realized: StochasticDecoder
-
-
 @dataclass(frozen=True)
 class TradeoffPoint:
     alpha: float
@@ -77,7 +67,7 @@ class TradeoffPoint:
                 self.d_predicted, self.p_predicted, self.d_d, self.p_d)
 
 
-def interpolate(gd: DeterministicDecoder, gp: StochasticDecoder, alpha: float) -> InterpolatedDecoder:
+def interpolate(gd: DeterministicDecoder, gp: StochasticDecoder, alpha: float) -> StochasticDecoder:
     """Decoder emitting alpha*gd[z] + (1-alpha)*x with x drawn from gp's row z."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha out of range [0, 1]")
@@ -100,7 +90,7 @@ def interpolate(gd: DeterministicDecoder, gp: StochasticDecoder, alpha: float) -
         w = weights[z]
         np.add.at(table[z], inverse[offset:offset + w.shape[0]], w)
         offset += w.shape[0]
-    return InterpolatedDecoder(float(alpha), gd, gp, StochasticDecoder(uniq, table))
+    return StochasticDecoder(uniq, table)
 
 
 def alpha_for_perception(p: float, p_d: float) -> float:
@@ -155,7 +145,7 @@ def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
     p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
     points = []
     for a in alphas:
-        realized = interpolate(gd, gp, a).realized
+        realized = interpolate(gd, gp, a)
         points.append(TradeoffPoint(
             alpha=a,
             d_measured=distortion(source, enc, realized),
@@ -178,7 +168,7 @@ def default_oracle_support(source: DiscreteDistribution, gd: DeterministicDecode
     """supp(X) ∪ gd table ∪ every alpha-grid interpolation image, deduplicated."""
     parts = [source.points, gd.table]
     for a in alphas:
-        parts.append(interpolate(gd, gp, float(a)).realized.out_support)
+        parts.append(interpolate(gd, gp, float(a)).out_support)
     return np.unique(np.vstack(parts), axis=0)
 
 
@@ -280,16 +270,18 @@ def _oracle_values(source: DiscreteDistribution, enc: Encoder, p_grid: Sequence[
                    support_alphas: Sequence[float]) -> list:
     """D*(P) of one encoder at each budget, over its own interpolation images.
 
-    Builds the encoder's two decoders and its P_d once; the candidate support
-    for budget P adds the image at alpha(P) to the support_alphas images.
+    Builds the encoder's two decoders, its P_d and the support_alphas images
+    once; the candidate support for budget P adds the image at alpha(P), and
+    constrained_oracle deduplicates the union.
     """
     gd = mmse_decoder_for(source, enc)
     gp = perceptual_decoder_for(source, enc)
     p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+    base = default_oracle_support(source, gd, gp, support_alphas)
     values = []
     for p in p_grid:
         a = alpha_for_perception(p, p_d) if p_d > 0 else 1.0
-        sup = default_oracle_support(source, gd, gp, (*support_alphas, a))
+        sup = np.vstack([base, interpolate(gd, gp, a).out_support])
         values.append(constrained_oracle(source, enc, p, sup)[0])
     return values
 
@@ -314,13 +306,16 @@ def universal_encoder_check(source: DiscreteDistribution, k: int, p_grid: Sequen
     if any(p < 0 for p in p_grid):
         raise ValueError("perception must be ≥ 0")
 
-    enc0, _, _ = exhaustive_optimal_encoder(source, k)
-    d_mmse = _oracle_values(source, enc0, p_grid, support_alphas)
-
+    # the MMSE encoder fills every cell with first-occurrence labels, so it is
+    # one of the enumerated encoders and its values come from the enumeration
+    mmse_assign = tuple(exhaustive_optimal_encoder(source, k)[0].assignment)
     best = [(math.inf, None)] * len(p_grid)
     for assign in _set_partitions(n, k):
         enc = Encoder(np.asarray(assign, dtype=np.int64), max(assign) + 1)
-        for i, d_star in enumerate(_oracle_values(source, enc, p_grid, support_alphas)):
+        values = _oracle_values(source, enc, p_grid, support_alphas)
+        if assign == mmse_assign:
+            d_mmse = values
+        for i, d_star in enumerate(values):
             if d_star < best[i][0]:
                 best[i] = (d_star, assign)
 

@@ -310,6 +310,16 @@ def test_rate_zero_on_more_than_64_points(capsys, tmp_path):
                                 "n": 600, "halfwidth": 4.0}))
     assert main(["mmse", "--source", str(spec), "--rate", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["assignment"] == [0] * 600
+    # above the cap the 1-D search is polynomial in n, and the transport size
+    # cap refuses the LPs at once instead of after a long solve
+    assert main(["mmse", "--source", str(spec), "--rate", "2"]) == 0
+    assignment = json.loads(capsys.readouterr().out)["assignment"]
+    assert len(assignment) == 600 and sorted(assignment) == assignment
+    assert set(assignment) == {0, 1, 2, 3}
+    assert main(["oracle", "--source", str(spec), "--rate", "2", "--perception", "0.01"]) == 2
+    assert "size cap exceeded" in capsys.readouterr().err
+    assert main(["theorem2", "--source", str(spec), "--rate", "1"]) == 2
+    assert "size cap exceeded" in capsys.readouterr().err
 
 
 def test_perception_error_message(capsys):

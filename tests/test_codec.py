@@ -15,7 +15,7 @@ from dplab.codec import (
     mmse_decoder_for,
     perceptual_decoder_for,
 )
-from dplab.distcore import builtin_source, make_distribution
+from dplab.distcore import builtin_source, gaussian_grid, make_distribution
 
 U4 = builtin_source("u4")
 ENC_HALVES = Encoder(np.array([0, 0, 1, 1]), 2)
@@ -203,14 +203,60 @@ def test_exhaustive_lossless_rate():
     assert sorted(enc.assignment.tolist()) == [0, 1, 2, 3]
 
 
-def test_interval_fallback_matches_full_enumeration():
-    rng = np.random.default_rng(21)
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_interval_fallback_matches_full_enumeration(seed, k):
+    rng = np.random.default_rng(seed)
     w = rng.random(10) + 0.1
     src = make_distribution(rng.normal(size=10), w / w.sum())
-    enc_full, _, d_full = exhaustive_optimal_encoder(src, 3)
-    enc_int, _, d_int = exhaustive_optimal_encoder(src, 3, cap=1)
+    enc_full, _, d_full = exhaustive_optimal_encoder(src, k)
+    enc_int, _, d_int = exhaustive_optimal_encoder(src, k, cap=1)
     assert abs(d_full - d_int) <= 1e-12
     assert enc_int.assignment.tolist() == enc_full.assignment.tolist()
+
+
+@pytest.mark.parametrize("n, k, want", [
+    (5, 2, [0, 0, 1, 1, 1]),
+    (7, 2, [0, 0, 0, 1, 1, 1, 1]),
+    (9, 4, [0, 0, 1, 1, 2, 2, 2, 3, 3]),
+    (10, 3, [0, 0, 0, 1, 1, 1, 1, 2, 2, 2]),
+], ids=["n5-k2", "n7-k2", "n9-k4", "n10-k3"])
+def test_interval_search_tie_break(n, k, want):
+    # mirror-image optima tie in exact arithmetic; the interval search's float
+    # sums decide, then its smallest-assignment rule at an exact float tie
+    src = make_distribution(np.arange(float(n)), np.full(n, 1.0 / n))
+    assert exhaustive_optimal_encoder(src, k, cap=1)[0].assignment.tolist() == want
+
+
+@pytest.mark.parametrize("n, k, cap, want", [
+    (7, 4, 1, [0, 0, 1, 2, 2, 3, 3]),
+    (14, 8, 10**7, [0, 0, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7, 7]),
+], ids=["n7-k4-cap1", "n14-k8"])
+def test_interval_search_tie_through_absorbed_prefix(n, k, cap, want):
+    # Cells {0,1},{2} and {0},{1,2} have equal MSE in exact arithmetic, but the
+    # second prefix sums one ulp lower; adding the next cell rounds both to one
+    # total, so the tie is settled by the larger break tuple, whose prefix was
+    # not the least.
+    src = make_distribution(np.arange(n) * 0.1, np.full(n, 1.0 / n))
+    assert exhaustive_optimal_encoder(src, k, cap=cap)[0].assignment.tolist() == want
+
+
+def test_interval_search_masses_lost_in_rounding():
+    # the tail masses, near exp(-50), vanish in the running total of the prefix
+    # sums; a cell of them must not rank as s² / 0 = -inf, which made
+    # [0] * 59 + [1] look optimal at D = 1
+    src = gaussian_grid(0.0, 1.0, 60, 10.0)
+    enc, _, d_d = exhaustive_optimal_encoder(src, 2)
+    splits = [Encoder(np.arange(60) >= b, 2) for b in range(1, 60)]
+    best = min(distortion(src, e, mmse_decoder_for(src, e)) for e in splits)
+    assert enc.assignment.tolist() == [0] * 30 + [1] * 30
+    assert abs(d_d - best) <= 1e-12 * best
+
+
+def test_interval_search_gauss33_rate3():
+    enc, _, _ = exhaustive_optimal_encoder(builtin_source("gauss33"), 8)
+    assert enc.assignment.tolist() == (
+        [0] * 10 + [1] * 3 + [2] * 2 + [3] * 2 + [4] * 2 + [5] * 2 + [6] * 3 + [7] * 9)
 
 
 def test_exhaustive_cap_error_multidim():

@@ -41,16 +41,16 @@ def u4_pair():
 
 def test_interpolate_endpoints(u4_pair):
     enc, gd, gp, _ = u4_pair
-    top = interpolate(gd, gp, 1.0).realized
+    top = interpolate(gd, gp, 1.0)
     assert np.array_equal(np.unique(top.out_support, axis=0), gd.table)
-    bottom = interpolate(gd, gp, 0.0).realized
+    bottom = interpolate(gd, gp, 0.0)
     assert np.array_equal(bottom.out_support, U4.points)
     assert np.array_equal(bottom.table, gp.table)
 
 
 def test_interpolate_midpoint_cell0(u4_pair):
     enc, gd, gp, _ = u4_pair
-    mid = interpolate(gd, gp, 0.5).realized
+    mid = interpolate(gd, gp, 0.5)
     assert mid.out_support.ravel().tolist() == [0.25, 0.75, 2.25, 2.75]
     assert mid.table[0].tolist() == [0.5, 0.5, 0.0, 0.0]
     assert mid.table[1].tolist() == [0.0, 0.0, 0.5, 0.5]
@@ -249,14 +249,21 @@ def test_universality_u4():
 
 
 def test_universality_one_encoder_per_partition(monkeypatch):
-    # 8 partitions of 4 points into at most 2 cells, 2 budgets each, plus the
-    # MMSE encoder's 2; relabelings of a partition are not re-solved
+    # 8 partitions of 4 points into at most 2 cells, 2 budgets each; the MMSE
+    # encoder is one of them and relabelings of a partition are not re-solved.
+    # Each encoder interpolates its 5 support alphas once and each budget's
+    # alpha once: 8 * (5 + 2).
     calls = []
     oracle = dplab.tradeoff.constrained_oracle
     monkeypatch.setattr(dplab.tradeoff, "constrained_oracle",
                         lambda *args: calls.append(args) or oracle(*args))
+    interpolations = []
+    interp = dplab.tradeoff.interpolate
+    monkeypatch.setattr(dplab.tradeoff, "interpolate",
+                        lambda *args: interpolations.append(args) or interp(*args))
     report = universal_encoder_check(U4, 2, [0.0, 0.25])
-    assert len(calls) == 18
+    assert len(calls) == 16
+    assert len(interpolations) == 56
     assert report.ok(1e-6)
     assert [r.best_assignment for r in report.rows] == [(0, 0, 1, 1)] * 2
 
