@@ -1,22 +1,60 @@
 """The one route to a linear program.
 
 Every dplab LP (transport, the constrained D(P) oracle, the augmented
-objective) is solved here with the same HiGHS tolerances, over nonnegative
-variables. Their equality constraints are all built from two shapes on a
-row-major r-by-c block of variables x[i, j]: its row sums and its (weighted)
-column sums. The builders emit those blocks straight from index arrays;
-callers place them with sparse.bmat.
+objective) is solved here by one direct call into scipy's HiGHS binding, with
+options built once, over nonnegative variables. Their equality constraints are
+all built from two shapes on a row-major r-by-c block of variables x[i, j]:
+its row sums and its (weighted) column sums. The builders emit those blocks
+straight from index arrays; callers place them with sparse.bmat, except the
+transport LP, whose stacked pair `marginals` builds in CSC form directly.
+
+The HiGHS model and options are exactly those `linprog(method="highs",
+options=HIGHS_OPTIONS)` would pass, so the returned x is the same to the bit
+(tests/test_lp.py holds that against linprog). Each solve is then checked by
+a primal/dual certificate instead of linprog's looser feasibility check.
 """
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# Certificate tolerance: on each row's residual relative to the size of the
+# terms it sums (see certificate), and relative to max(1, ‖c‖∞) on the dual side.
+CERT_TOL = 1e-9
+
+
+def _highs_options() -> _highs.HighsOptions:
+    """The options linprog(method="highs") sets for HIGHS_OPTIONS, validated once."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    for key, value in HIGHS_OPTIONS.items():
+        setattr(opts, key, value)
+    if _highs._Highs().passOptions(opts) != _highs.HighsStatus.kOk:
+        raise RuntimeError("HiGHS rejected dplab's solver options")
+    return opts
+
+
+_OPTIONS = _highs_options()
+
+
+class LPResult(NamedTuple):
+    """x is None unless status is 0; status follows linprog's codes."""
+
+    x: Optional[np.ndarray]
+    status: int
+    message: str
 
 
 def row_sums(r: int, c: int) -> sparse.csr_matrix:
@@ -39,11 +77,106 @@ def col_sums(r: int, c: int, weights=None) -> sparse.csr_matrix:
     return block
 
 
-def solve(c, a_eq, b_eq, a_ub=None, b_ub=None):
+def marginals(r: int, c: int) -> sparse.csc_array:
+    """(r+c, r*c) row sums stacked over column sums, in CSC form.
+
+    Column i*c + j holds two unit entries, at rows i and r + j; equals
+    csc_array(bmat([[row_sums(r, c)], [col_sums(r, c)]])) entry for entry.
+    """
+    indices = np.empty(2 * r * c, dtype=np.int32)
+    indices[0::2] = np.repeat(np.arange(r, dtype=np.int32), c)
+    indices[1::2] = np.tile(np.arange(r, r + c, dtype=np.int32), r)
+    indptr = np.arange(0, 2 * r * c + 1, 2, dtype=np.int32)
+    return sparse.csc_array((np.ones(2 * r * c), indices, indptr), shape=(r + c, r * c))
+
+
+def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     """min c·x s.t. a_eq x = b_eq, a_ub x <= b_ub, x >= 0, by the HiGHS solver.
 
-    Returns scipy's OptimizeResult; callers map a nonzero status to their own
-    error.
+    A fresh solver instance per LP, so no basis carries over between solves.
+    Non-finite data raise ValueError. A solution whose certificate fails
+    (scaled primal residual or bound violation above CERT_TOL, reduced cost or
+    duality gap beyond CERT_TOL·max(1, ‖c‖∞)) comes back with status 4.
+    Callers map a nonzero status to their own error.
     """
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                   method="highs", options=HIGHS_OPTIONS)
+    c = np.asarray(c, dtype=np.float64)
+    b_eq = np.asarray(b_eq, dtype=np.float64)
+    b_ub = np.asarray([] if b_ub is None else b_ub, dtype=np.float64)
+    a = a_eq.tocsc() if a_ub is None else sparse.vstack([a_ub, a_eq], format="csc")
+    for name, v in (("c", c), ("b_eq", b_eq), ("b_ub", b_ub), ("constraint matrix", a.data)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"LP {name} must be finite")
+    n_row, n_col = a.shape
+
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(n_col)
+    lp.col_upper_ = np.full(n_col, np.inf)
+    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+
+    highs = _highs._Highs()
+    highs.passOptions(_OPTIONS)
+    # no optimum: linprog's status code and message
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        model_status = _highs.HighsModelStatus.kModelError
+        return _failed(model_status, highs.modelStatusToString(model_status))
+    run_status = highs.run()
+    model_status = highs.getModelStatus()
+    if run_status == _highs.HighsStatus.kError:
+        return _failed(model_status, highs.modelStatusToString(model_status))
+    if model_status != _highs.HighsModelStatus.kOptimal:
+        primal_status = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
+        return _failed(model_status, f"model_status is {highs.modelStatusToString(model_status)}; "
+                                     f"primal_status is {primal_status}")
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    primal, dual, gap = certificate(a, c, b_eq, b_ub, x, np.array(solution.row_dual))
+    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+    if not (primal <= CERT_TOL and dual <= CERT_TOL * scale and gap <= CERT_TOL * scale):
+        return LPResult(None, 4, f"LP certificate failed: primal residual {primal:.3g}, "
+                                 f"dual infeasibility {dual:.3g}, duality gap {gap:.3g} "
+                                 f"(scale {scale:.3g})")
+    return LPResult(x, 0, "Optimization terminated successfully.")
+
+
+def certificate(a, c, b_eq, b_ub, x, y) -> tuple:
+    """(primal residual, dual infeasibility, duality gap) of a primal/dual pair.
+
+    a is CSC and stacks the b_ub rows over the b_eq rows. The primal residual
+    is the worst equality residual, <= row violation or negative x; each row's
+    residual is taken relative to max(1, Σ_j |a_ij x_j|), so rows of
+    probabilities are held to an absolute bound and the oracle's perception
+    row, a sum of squared distances, to its own rounding scale. The dual
+    infeasibility is the worst negative reduced cost c - Aᵀy or positive
+    multiplier on a <= row (with both, b·y bounds c·x from below); the gap is
+    |c·x - b·y|. Any non-finite entry makes all three NaN, which fails every
+    comparison.
+    """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return (np.nan,) * 3
+    m_ub = len(b_ub)
+    n_row, n_col = a.shape
+    rhs = np.concatenate([b_ub, b_eq])
+    col = np.repeat(np.arange(n_col), np.diff(a.indptr))  # a is CSC
+    terms = a.data * x[col]
+    ax = np.bincount(a.indices, weights=terms, minlength=n_row)
+    residual = (ax - rhs) / np.maximum(
+        1.0, np.bincount(a.indices, weights=np.abs(terms), minlength=n_row))
+    primal = max(np.abs(residual[m_ub:]).max(initial=0.0),
+                 residual[:m_ub].max(initial=0.0), -x.min(initial=0.0))
+    aty = np.bincount(col, weights=a.data * y[a.indices], minlength=n_col)
+    dual = max(-(c - aty).min(initial=0.0), y[:m_ub].max(initial=0.0))
+    gap = abs(c @ x - rhs @ y)
+    return float(primal), float(dual), float(gap)
+
+
+def _failed(model_status, text: str) -> LPResult:
+    return LPResult(None, *_highs_to_scipy_status_message(model_status, text))

@@ -34,6 +34,7 @@ from .distcore import DiscreteDistribution, builtin_source, source_from_json
 from .tradeoff import (
     SWEEP_COLUMNS,
     alpha_for_perception,
+    check_budget,
     constrained_oracle,
     default_oracle_support,
     predicted_distortion,
@@ -123,8 +124,8 @@ def scenario_from_args(args: argparse.Namespace) -> Scenario:
         raise ValueError("alpha out of range [0, 1]")
     lambdas = parse_lambda_list(getattr(args, "lambdas", _DEFAULT_LAMBDAS))
     p = getattr(args, "perception", None)
-    if p is not None and p < 0:
-        raise ValueError("perception must be ≥ 0")
+    if p is not None:
+        check_budget(p)
     return Scenario(
         source=source,
         rate=args.rate,

@@ -93,10 +93,17 @@ def interpolate(gd: DeterministicDecoder, gp: StochasticDecoder, alpha: float) -
     return StochasticDecoder(uniq, table)
 
 
-def alpha_for_perception(p: float, p_d: float) -> float:
-    """min(sqrt(P/P_d), 1): the interpolation weight exhausting budget P."""
+def check_budget(p: float) -> None:
+    """Refuse a perception budget that is not a finite P >= 0."""
+    if not math.isfinite(p):
+        raise ValueError("perception must be finite")
     if p < 0:
         raise ValueError("perception must be ≥ 0")
+
+
+def alpha_for_perception(p: float, p_d: float) -> float:
+    """min(sqrt(P/P_d), 1): the interpolation weight exhausting budget P."""
+    check_budget(p)
     if p_d <= 0:
         raise ValueError("P_d must be > 0 (lossless codec leaves nothing to interpolate)")
     return min(math.sqrt(p / p_d), 1.0)
@@ -185,8 +192,7 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
     The coupling certifies that the decoder's output law sits within W2²-budget
     P of the source law.
     """
-    if p_budget < 0:
-        raise ValueError("perception must be ≥ 0")
+    check_budget(p_budget)
     sup = np.asarray(out_support, dtype=np.float64)
     if sup.ndim == 1:
         sup = sup.reshape(-1, 1)
@@ -303,8 +309,8 @@ def universal_encoder_check(source: DiscreteDistribution, k: int, p_grid: Sequen
     if k**n > cap:
         raise ValueError(f"enumeration cap exceeded: K^n = {k}^{n} > {cap}")
     p_grid = [float(p) for p in p_grid]
-    if any(p < 0 for p in p_grid):
-        raise ValueError("perception must be ≥ 0")
+    for p in p_grid:
+        check_budget(p)
 
     # the MMSE encoder fills every cell with first-occurrence labels, so it is
     # one of the enumerated encoders and its values come from the enumeration

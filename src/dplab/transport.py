@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from . import _lp
 from .distcore import DiscreteDistribution, sq_dists
@@ -81,8 +80,7 @@ def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
 
     # Row-sum block stacked over column-sum block; one equality is redundant
     # but consistent, which HiGHS presolve handles.
-    a_eq = sparse.bmat([[_lp.row_sums(nr, nc)], [_lp.col_sums(nr, nc)]], format="csr")
-    res = _lp.solve(c.reshape(-1), a_eq, np.concatenate([a, b]))
+    res = _lp.solve(c.reshape(-1), _lp.marginals(nr, nc), np.concatenate([a, b]))
     if res.status != 0:
         raise ValueError(f"transport LP failed: {res.message}")
     pi = np.maximum(res.x.reshape(nr, nc), 0.0)

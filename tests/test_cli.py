@@ -278,6 +278,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["mmse", "--source", "builtin:nope"],
         ["mmse", "--source", str(tmp_path / "missing.json")],
         ["oracle", "--perception", "-0.1"],
+        ["oracle", "--perception", "nan"],
+        ["oracle", "--perception", "inf"],
         ["sweep", "--out", str(tmp_path / "no_dir" / "x.csv")],
         # squared coordinates overflow: no encoder has a finite MSE, whether
         # all K^n assignments or only interval partitions are searched, or

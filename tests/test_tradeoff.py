@@ -227,6 +227,17 @@ def test_oracle_monotone_in_budget(u4_pair):
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_perception_refused(u4_pair, p):
+    enc, _, _, _ = u4_pair
+    with pytest.raises(ValueError, match="perception must be finite"):
+        constrained_oracle(U4, enc, p, U4.points)
+    with pytest.raises(ValueError, match="perception must be finite"):
+        alpha_for_perception(p, 0.25)
+    with pytest.raises(ValueError, match="perception must be finite"):
+        universal_encoder_check(U4, 2, [0.1, p])
+
+
 def test_oracle_validation(u4_pair):
     enc, _, _, _ = u4_pair
     with pytest.raises(ValueError, match="perception must be ≥ 0"):
