@@ -7,8 +7,10 @@ construction. Its optimum D*(P) lands on the predicted curve
 finite output support built from the interpolation images of an alpha grid,
 so the budgets below are chosen as alpha^2 * P_d on that grid; off-grid
 budgets would sit slightly above the curve for support reasons alone.
-universal_encoder_check then brute-forces every encoder at the same rate to
-confirm the MMSE partition is the right one at every budget simultaneously.
+universal_encoder_check then sets the MMSE encoder's attained oracle value
+against every rival partition at the same rate, each scored by its exact
+closed-form optimum D_d + (sqrt(P_d) - sqrt(P))_+^2 from one W2 LP, to confirm
+the MMSE partition is the right one at every budget simultaneously.
 
 Run: python3 demos/03_constrained_oracle.py
 """

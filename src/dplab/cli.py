@@ -44,6 +44,8 @@ from .tradeoff import (
 from .transport import w2sq_exact
 
 _DEFAULT_LAMBDAS = "0,0.25,0.5,0.9,1.1,1.5,2"
+# each alpha costs an interpolation and a W2 LP; 0:1:1e-4 is the finest grid on [0, 1]
+MAX_ALPHA_POINTS = 10_001
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,10 @@ def parse_alpha_range(text: str) -> Tuple[float, ...]:
         raise ValueError("alpha step must be > 0")
     if b < a:
         raise ValueError("alpha range needs a <= b")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
+    span = (b - a) / step + 1e-9  # +inf when step underflows the quotient
+    if span >= MAX_ALPHA_POINTS:
+        raise ValueError(f"alpha grid exceeds {MAX_ALPHA_POINTS} points")
+    count = int(span) + 1
     if abs(a + (count - 1) * step - b) <= 1e-9 * max(1.0, abs(b)):
         # endpoint lands on the grid: linspace keeps the values exact
         return tuple(float(v) for v in np.linspace(a, b, count))

@@ -16,6 +16,8 @@ import numpy as np
 # Mass drift accepted from callers vs guaranteed after canonicalization.
 INPUT_MASS_TOL = 1e-9
 MASS_TOL = 1e-12
+# gaussian_grid refuses more points than this before allocating the grid
+GRID_CAP = 10**6
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -112,6 +114,8 @@ def gaussian_grid(mean: float, std: float, n: int, halfwidth: float) -> Discrete
     carrying renormalized Gaussian weights."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > GRID_CAP:
+        raise ValueError(f"n must be <= {GRID_CAP}")
     if std <= 0 or halfwidth <= 0:
         raise ValueError("std and halfwidth must be > 0")
     xs = np.linspace(mean - halfwidth * std, mean + halfwidth * std, n)
@@ -133,12 +137,15 @@ def source_from_json(spec: Union[dict, str]) -> DiscreteDistribution:
     if not isinstance(spec, dict):
         raise ValueError("source spec must be a JSON object")
     if spec.get("kind") == "gaussian-grid":
-        try:
-            return gaussian_grid(
-                float(spec["mean"]), float(spec["std"]), int(spec["n"]), float(spec["halfwidth"])
-            )
-        except KeyError as exc:
-            raise ValueError(f"gaussian-grid spec missing field {exc.args[0]!r}") from None
+        fields = []
+        for name, cast in (("mean", float), ("std", float), ("n", int), ("halfwidth", float)):
+            if name not in spec:
+                raise ValueError(f"gaussian-grid spec missing field {name!r}")
+            try:
+                fields.append(cast(spec[name]))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"gaussian-grid field {name!r} must be a number") from None
+        return gaussian_grid(*fields)
     if "points" in spec and "probs" in spec:
         return make_distribution(spec["points"], spec["probs"])
     raise ValueError("source spec needs either 'points'/'probs' or kind 'gaussian-grid'")

@@ -9,9 +9,9 @@ distortion and perception obey the closed forms
 with alpha = min(sqrt(P/P_d), 1). constrained_oracle() solves the constrained
 problem directly as one LP over stochastic decoder rows plus a coupling, so
 those identities can be checked against an optimizer that knows nothing about
-the interpolation construction. universal_encoder_check() brute-forces every
-partition of the support to confirm none beats the MMSE partition at any
-perception budget.
+the interpolation construction. universal_encoder_check() sets the MMSE
+encoder's attained oracle value against every rival partition's exact optimum
+D_d + (sqrt(P_d) - sqrt(P))_+^2 (Freirich, Michaeli & Meir 2021).
 """
 from __future__ import annotations
 
@@ -170,12 +170,11 @@ def sweep_to_csv(points: Sequence[TradeoffPoint]) -> str:
 
 
 def default_oracle_support(source: DiscreteDistribution, gd: DeterministicDecoder,
-                           gp: StochasticDecoder,
-                           alphas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0)) -> np.ndarray:
-    """supp(X) ∪ gd table ∪ every alpha-grid interpolation image, deduplicated."""
+                           gp: StochasticDecoder) -> np.ndarray:
+    """supp(X) ∪ gd table ∪ the images on a five-point alpha grid, deduplicated."""
     parts = [source.points, gd.table]
-    for a in alphas:
-        parts.append(interpolate(gd, gp, float(a)).out_support)
+    for a in (0.0, 0.25, 0.5, 0.75, 1.0):
+        parts.append(interpolate(gd, gp, a).out_support)
     return np.unique(np.vstack(parts), axis=0)
 
 
@@ -272,38 +271,18 @@ def _set_partitions(n: int, k: int, prefix: tuple = (0,)):
         yield from _set_partitions(n, k, prefix + (z,))
 
 
-def _oracle_values(source: DiscreteDistribution, enc: Encoder, p_grid: Sequence[float],
-                   support_alphas: Sequence[float]) -> list:
-    """D*(P) of one encoder at each budget, over its own interpolation images.
-
-    Builds the encoder's two decoders, its P_d and the support_alphas images
-    once; the candidate support for budget P adds the image at alpha(P), and
-    constrained_oracle deduplicates the union.
-    """
-    gd = mmse_decoder_for(source, enc)
-    gp = perceptual_decoder_for(source, enc)
-    p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
-    base = default_oracle_support(source, gd, gp, support_alphas)
-    values = []
-    for p in p_grid:
-        a = alpha_for_perception(p, p_d) if p_d > 0 else 1.0
-        sup = np.vstack([base, interpolate(gd, gp, a).out_support])
-        values.append(constrained_oracle(source, enc, p, sup)[0])
-    return values
-
-
 def universal_encoder_check(source: DiscreteDistribution, k: int, p_grid: Sequence[float],
-                            support_alphas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
                             cap: int = ENUMERATION_CAP) -> UniversalityReport:
-    """Brute-force confirmation that the MMSE partition is universally optimal.
+    """Certify that no encoder beats the MMSE partition at any budget P.
 
-    The oracle value of an encoder depends only on the partition it induces,
-    not on its code labels, so each partition of the support into at most K
-    cells is visited once, as an encoder with one code per nonempty cell. For
-    each budget P the constrained oracle runs on every such encoder, with the
-    candidate support built from that encoder's own decoders, and the report
-    gives the relative gap between the MMSE-optimal encoder's value and the
-    overall minimum. The cap still bounds the K^n labeled assignments.
+    The MMSE row is the value constrained_oracle attains over
+    default_oracle_support plus the image at alpha(P). Every other partition
+    into at most K cells scores its exact optimum D_d + (sqrt(P_d) - sqrt(P))_+^2
+    from one W2 LP: any decoder's error is D_d + E||Xd - X̂||² by orthogonality,
+    the W2 triangle inequality bounds the second term below, and the OT
+    interpolation attains it (Freirich, Michaeli & Meir 2021). Relabelings
+    share a value, so each partition is visited once; the cap still bounds
+    the K^n labeled assignments.
     """
     n = source.n
     if k**n > cap:
@@ -313,17 +292,31 @@ def universal_encoder_check(source: DiscreteDistribution, k: int, p_grid: Sequen
         check_budget(p)
 
     # the MMSE encoder fills every cell with first-occurrence labels, so it is
-    # one of the enumerated encoders and its values come from the enumeration
-    mmse_assign = tuple(exhaustive_optimal_encoder(source, k)[0].assignment)
-    best = [(math.inf, None)] * len(p_grid)
+    # one of the enumerated partitions
+    mmse_assign = tuple(int(z) for z in exhaustive_optimal_encoder(source, k)[0].assignment)
+    enc = Encoder(np.asarray(mmse_assign, dtype=np.int64), max(mmse_assign) + 1)
+    gd = mmse_decoder_for(source, enc)
+    gp = perceptual_decoder_for(source, enc)
+    p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+    base = default_oracle_support(source, gd, gp)
+    d_mmse = []
+    for p in p_grid:
+        a = alpha_for_perception(p, p_d) if p_d > 0 else 1.0
+        sup = np.vstack([base, interpolate(gd, gp, a).out_support])
+        d_mmse.append(constrained_oracle(source, enc, p, sup)[0])
+
+    best = [(d0, mmse_assign) for d0 in d_mmse]
     for assign in _set_partitions(n, k):
-        enc = Encoder(np.asarray(assign, dtype=np.int64), max(assign) + 1)
-        values = _oracle_values(source, enc, p_grid, support_alphas)
         if assign == mmse_assign:
-            d_mmse = values
-        for i, d_star in enumerate(values):
-            if d_star < best[i][0]:
-                best[i] = (d_star, assign)
+            continue
+        enc = Encoder(np.asarray(assign, dtype=np.int64), max(assign) + 1)
+        gd = mmse_decoder_for(source, enc)
+        d_d = distortion(source, enc, gd)
+        root_p_d = math.sqrt(w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost)
+        for i, p in enumerate(p_grid):
+            bound = d_d + max(root_p_d - math.sqrt(p), 0.0) ** 2
+            if bound < best[i][0]:
+                best[i] = (bound, assign)
 
     rows = []
     for p, d0, (d_best, arg) in zip(p_grid, d_mmse, best):

@@ -83,6 +83,12 @@ def _json_source(path, points):
     return str(path)
 
 
+def _grid_source(path, **fields):
+    spec = {"kind": "gaussian-grid", "mean": 0.0, "std": 1.0, "n": 9, "halfwidth": 4.0}
+    path.write_text(json.dumps({**spec, **fields}))
+    return str(path)
+
+
 def test_parse_alpha_range_exact_grid():
     assert parse_alpha_range("0:1:0.25") == (0.0, 0.25, 0.5, 0.75, 1.0)
     assert parse_alpha_range("0:0:1") == (0.0,)
@@ -274,6 +280,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["sweep", "--seed", "-5"],
         ["sweep", "--tol", "0"],
         ["sweep", "--alphas", "1:0:0.1"],
+        # a grid past MAX_ALPHA_POINTS is refused before any LP or allocation
+        ["sweep", "--source", "builtin:u4", "--alphas", "0:1:1e-6"],
+        ["sweep", "--source", "builtin:u4", "--alphas", "0:1:1e-15"],
         ["theorem2", "--lambdas", "2,1"],
         ["mmse", "--source", "builtin:nope"],
         ["mmse", "--source", str(tmp_path / "missing.json")],
@@ -289,6 +298,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                                           [[(i + 1) * 1e155] for i in range(30)])],
         ["mmse", "--method", "lloyd", "--rate", "1", "--source", huge],
         ["sweep", "--method", "lloyd", "--source", huge],
+        ["mmse", "--source", _grid_source(tmp_path / "null_mean.json", mean=None)],
+        ["mmse", "--source", _grid_source(tmp_path / "list_n.json", n=[9])],
+        ["mmse", "--source", _grid_source(tmp_path / "huge_n.json", n=1e15)],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

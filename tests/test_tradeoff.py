@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import dplab.tradeoff
 from dplab.codec import (
     Encoder,
+    decoder_output_dist,
+    distortion,
     exhaustive_optimal_encoder,
     mmse_decoder_for,
     perceptual_decoder_for,
@@ -28,6 +30,8 @@ from dplab.tradeoff import (
     sweep_to_csv,
     universal_encoder_check,
 )
+from dplab.transport import w2sq_exact
+from test_acceptance import TWO_CLUSTER, _eight_point_source
 
 U4 = builtin_source("u4")
 
@@ -260,10 +264,10 @@ def test_universality_u4():
 
 
 def test_universality_one_encoder_per_partition(monkeypatch):
-    # 8 partitions of 4 points into at most 2 cells, 2 budgets each; the MMSE
-    # encoder is one of them and relabelings of a partition are not re-solved.
-    # Each encoder interpolates its 5 support alphas once and each budget's
-    # alpha once: 8 * (5 + 2).
+    # 8 partitions of 4 points into at most 2 cells, 2 budgets; relabelings of
+    # a partition are not re-solved. Only the MMSE partition runs the oracle,
+    # once per budget, over 5 support images plus each budget's alpha image;
+    # every partition solves one W2 LP for its P_d.
     calls = []
     oracle = dplab.tradeoff.constrained_oracle
     monkeypatch.setattr(dplab.tradeoff, "constrained_oracle",
@@ -272,9 +276,14 @@ def test_universality_one_encoder_per_partition(monkeypatch):
     interp = dplab.tradeoff.interpolate
     monkeypatch.setattr(dplab.tradeoff, "interpolate",
                         lambda *args: interpolations.append(args) or interp(*args))
+    w2_calls = []
+    w2 = dplab.tradeoff.w2sq_exact
+    monkeypatch.setattr(dplab.tradeoff, "w2sq_exact",
+                        lambda *args: w2_calls.append(args) or w2(*args))
     report = universal_encoder_check(U4, 2, [0.0, 0.25])
-    assert len(calls) == 16
-    assert len(interpolations) == 56
+    assert len(calls) == 2
+    assert len(interpolations) == 7
+    assert len(w2_calls) == 8
     assert report.ok(1e-6)
     assert [r.best_assignment for r in report.rows] == [(0, 0, 1, 1)] * 2
 
@@ -289,9 +298,95 @@ def test_set_partitions_first_occurrence_labels():
 
 
 def test_universality_two_cluster():
-    src = make_distribution([0.0, 1.0, 4.0, 5.0], np.full(4, 0.25))
-    report = universal_encoder_check(src, 2, [0.0, 0.25])
+    report = universal_encoder_check(TWO_CLUSTER, 2, [0.0, 0.25])
     assert report.ok(1e-6)
+
+
+def _universality_on_p_d_grid(src):
+    """universal_encoder_check at K = 2 on the budgets f·P_d, f ∈ {0, .25, .5, .75, 1}."""
+    enc, gd, _ = exhaustive_optimal_encoder(src, 2)
+    p_d = w2sq_exact(src, decoder_output_dist(src, enc, gd)).cost
+    return universal_encoder_check(src, 2, [p_d * f for f in (0.0, 0.25, 0.5, 0.75, 1.0)])
+
+
+# float.hex of each UniversalityRow's (p_budget, d_star_mmse, d_star_best),
+# captured when every rival partition still ran the oracle on its own support
+PINNED_ROWS = {
+    "two_cluster": [
+        ("0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+        ("0x1.0000000000000p-4", "0x1.4000000000000p-2", "0x1.4000000000000p-2"),
+        ("0x1.0000000000000p-3", "0x1.15f619980c435p-2", "0x1.15f619980c435p-2"),
+        ("0x1.8000000000000p-3", "0x1.0498517a7b356p-2", "0x1.0498517a7b356p-2"),
+        ("0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-2"),
+    ],
+    "eight_point": [
+        ("0x0.0p+0", "0x1.76db6db6db6dcp+0", "0x1.76db6db6db6dcp+0"),
+        ("0x1.76db6db6db6dcp-3", "0x1.d492492492490p-1", "0x1.d492492492490p-1"),
+        ("0x1.76db6db6db6dcp-2", "0x1.9703ca0c5b193p-1", "0x1.9703ca0c5b193p-1"),
+        ("0x1.1924924924925p-1", "0x1.7d95e505a2206p-1", "0x1.7d95e505a2206p-1"),
+        ("0x1.76db6db6db6dcp-1", "0x1.76db6db6db6dcp-1", "0x1.76db6db6db6dcp-1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, src, best", [
+    ("two_cluster", TWO_CLUSTER, (0, 0, 1, 1)),
+    ("eight_point", _eight_point_source(), (0, 0, 0, 0, 1, 1, 1, 1)),
+])
+def test_universality_rows_pinned(name, src, best):
+    report = _universality_on_p_d_grid(src)
+    got = [(r.p_budget.hex(), r.d_star_mmse.hex(), r.d_star_best.hex()) for r in report.rows]
+    assert got == PINNED_ROWS[name]
+    for r in report.rows:
+        assert r.best_assignment == best
+        assert all(type(z) is int for z in r.best_assignment)
+        assert r.rel_gap.hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("src", [
+    make_distribution([0.0, 1.0, 2.0], np.full(3, 1 / 3)),
+    make_distribution([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], np.full(4, 0.25)),
+], ids=["uniform3", "unit_square"])
+def test_universality_tied_rival_scores_its_exact_value(src):
+    # a mirror-image partition ties the MMSE one in exact arithmetic, so its
+    # closed-form score may undercut the MMSE oracle value only by rounding
+    assert _universality_on_p_d_grid(src).max_rel_gap <= 1e-14
+
+
+def _planar6():
+    rng = np.random.default_rng(6)
+    w = rng.uniform(0.05, 1, 6)
+    return make_distribution(rng.normal(size=(6, 2)), w / w.sum())
+
+
+def _dense_support(src, gd):
+    """supp(X) ∪ gd table ∪ a grid over the bounding box (33 points in 1-D, 9x9 in 2-D)."""
+    lo, hi = src.points.min(axis=0), src.points.max(axis=0)
+    axes = [np.linspace(a, b, 33 if src.dim == 1 else 9) for a, b in zip(lo, hi)]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=1)
+    return np.vstack([grid, src.points, gd.table])
+
+
+@pytest.mark.parametrize("src", [U4, TWO_CLUSTER, _planar6()], ids=["u4", "two_cluster", "planar6"])
+def test_rival_bound_is_a_lower_bound(src):
+    # D_d + (sqrt(P_d) - sqrt(P))_+^2 is each encoder's exact optimum over all
+    # decoders, so the oracle on any finite support sits at or above it; the
+    # MMSE partition attains it on its own interpolation images.
+    mmse = tuple(exhaustive_optimal_encoder(src, 2)[0].assignment)
+    for assign in dplab.tradeoff._set_partitions(src.n, 2):
+        enc = Encoder(np.asarray(assign), max(assign) + 1)
+        gd = mmse_decoder_for(src, enc)
+        gp = perceptual_decoder_for(src, enc)
+        d_d = distortion(src, enc, gd)
+        p_d = w2sq_exact(src, decoder_output_dist(src, enc, gd)).cost
+        for f in (0.0, 0.1, 0.3, 0.6, 1.0):
+            p = f * p_d
+            bound = d_d + max(np.sqrt(p_d) - np.sqrt(p), 0.0) ** 2
+            image = interpolate(gd, gp, alpha_for_perception(p, p_d)).out_support
+            d_star, _ = constrained_oracle(src, enc, p, np.vstack([_dense_support(src, gd), image]))
+            assert d_star >= bound * (1 - 1e-12), (assign, f)
+            if assign == mmse:
+                assert abs(d_star - bound) <= 1e-12 * bound, f
 
 
 def test_universality_lossless_rate():
