@@ -10,7 +10,6 @@ from .distcore import (
     JointXZ,
     builtin_source,
     conditional_x_given_z,
-    expectation,
     gaussian_grid,
     joint_from_encoder,
     make_distribution,
@@ -29,7 +28,6 @@ from .codec import (
     Encoder,
     StochasticDecoder,
     check_zd_xd_bijective,
-    codec_from_json,
     codec_to_json,
     decoder_output_dist,
     distortion,

@@ -27,6 +27,7 @@ from .distcore import (
 )
 
 ENUMERATION_CAP = 10**7
+LLOYD_MAX_ITER = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,14 +46,6 @@ class Encoder:
         if a.size and (a.min() < 0 or a.max() >= self.K):
             raise ValueError(f"code index out of range [0, {self.K})")
         object.__setattr__(self, "assignment", _readonly(a))
-
-    @property
-    def rate(self) -> float:
-        """Rate in bits, log2(K)."""
-        return math.log2(self.K)
-
-    def cells(self) -> list:
-        return [np.nonzero(self.assignment == z)[0] for z in range(self.K)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +97,13 @@ class StochasticDecoder:
 
 
 Decoder = Union[DeterministicDecoder, StochasticDecoder]
+
+
+def _check_code_count(K: int, n: int) -> None:
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if K > n:
+        raise ValueError(f"K > n: {K} codes for {n} support points")
 
 
 def _require_finite_mse(source: DiscreteDistribution) -> None:
@@ -169,7 +169,6 @@ def lloyd_train(
     source: DiscreteDistribution,
     K: int,
     seed: int = 0,
-    max_iter: int = 1000,
     tol: float = 1e-10,
     mse_trace: Optional[list] = None,
 ) -> Tuple[Encoder, DeterministicDecoder]:
@@ -179,15 +178,12 @@ def lloyd_train(
     from the support quantiles (one draw per probability stratum). Points
     equidistant to two centroids go to the lower code index; an empty cell is
     repaired by stealing the point currently farthest from its own centroid.
-    Stops when the relative MSE improvement drops to tol or at max_iter. The
-    per-iteration MSE sequence (nonincreasing) is appended to mse_trace when a
-    list is supplied.
+    Stops when the relative MSE improvement drops to tol or after
+    LLOYD_MAX_ITER iterations. The per-iteration MSE sequence (nonincreasing)
+    is appended to mse_trace when a list is supplied.
     """
     n = source.n
-    if K > n:
-        raise ValueError(f"K > n: {K} codes for {n} support points")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_code_count(K, n)
     _require_finite_mse(source)
     pts, probs = source.points, source.probs
 
@@ -207,7 +203,7 @@ def lloyd_train(
 
     assign = np.zeros(n, dtype=np.int64)
     prev_mse = None
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         assign = np.argmin(sq_dists(pts, centroids), axis=1)  # first minimum -> lower code wins ties
 
         counts = np.bincount(assign, minlength=K)
@@ -331,27 +327,23 @@ def _exhaustive_full(source, K):
 
 
 def exhaustive_optimal_encoder(
-    source: DiscreteDistribution, K: int, cap: int = ENUMERATION_CAP
+    source: DiscreteDistribution, K: int
 ) -> Tuple[Encoder, DeterministicDecoder, float]:
     """Globally MSE-optimal encoder, its conditional-mean decoder, and D_d.
 
-    Both searches are exact. With K^n <= cap, any dimension, all K^n
-    assignments are scored; 1-D sources above the cap take an O(K·n²) dynamic
-    program over interval cells, which some optimal scalar quantizer has; other
-    sources are refused. Each breaks exact float ties toward the smallest
-    assignment, but the two round differently, so optima that tie in exact
-    arithmetic can differ: a uniform 5-point source at K = 2 gives
-    [0,0,0,1,1] under the cap and [0,0,1,1,1] above it.
+    Both searches are exact. A 1-D source takes an O(K·n²) dynamic program
+    over interval cells, which some optimal scalar quantizer has. A source in
+    d >= 2 has all K^n assignments scored while K^n <= ENUMERATION_CAP and is
+    refused above it. Exact float ties go to the smallest assignment.
     """
-    if K > source.n:
-        raise ValueError(f"K > n: {K} codes for {source.n} support points")
+    _check_code_count(K, source.n)
     _require_finite_mse(source)
-    if K ** source.n <= cap:
-        assign = _exhaustive_full(source, K)
-    elif source.dim == 1:
+    if source.dim == 1:
         assign = _interval_dp(source, K)
+    elif K ** source.n <= ENUMERATION_CAP:
+        assign = _exhaustive_full(source, K)
     else:
-        raise ValueError(f"enumeration cap exceeded: K^n = {K}^{source.n} > {cap}")
+        raise ValueError(f"enumeration cap exceeded: K^n = {K}^{source.n} > {ENUMERATION_CAP}")
     enc = Encoder(assign, K)
     gd = mmse_decoder_for(source, enc)
     return enc, gd, distortion(source, enc, gd)
@@ -367,17 +359,3 @@ def codec_to_json(enc: Encoder, gd: Optional[DeterministicDecoder] = None,
         out["gp"] = {"support": gp.out_support.tolist(), "rows": gp.table.tolist()}
     return out
 
-
-def codec_from_json(obj: dict):
-    """Inverse of codec_to_json -> (Encoder, gd or None, gp or None)."""
-    if not isinstance(obj, dict) or "K" not in obj or "assignment" not in obj:
-        raise ValueError("codec JSON needs 'K' and 'assignment'")
-    enc = Encoder(np.asarray(obj["assignment"], dtype=np.int64), int(obj["K"]))
-    gd = DeterministicDecoder(np.asarray(obj["gd"], dtype=np.float64)) if "gd" in obj else None
-    gp = None
-    if "gp" in obj:
-        gp = StochasticDecoder(
-            np.asarray(obj["gp"]["support"], dtype=np.float64),
-            np.asarray(obj["gp"]["rows"], dtype=np.float64),
-        )
-    return enc, gd, gp

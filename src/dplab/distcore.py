@@ -1,4 +1,4 @@
-"""Finite discrete distributions, joint source-code laws, and exact expectations.
+"""Finite discrete distributions, joint source-code laws, and conditionals.
 
 Everything downstream (transport, codecs, tradeoff sweeps) computes on the two
 value types defined here. Both are immutable; all probability mass is kept in
@@ -8,8 +8,9 @@ supply the points they mean (no epsilon merging).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -47,14 +48,6 @@ class DiscreteDistribution:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def mean(self) -> np.ndarray:
-        return self.probs @ self.points
-
-    def same_support(self, other: "DiscreteDistribution") -> bool:
-        return self.points.shape == other.points.shape and bool(
-            np.array_equal(self.points, other.points)
-        )
 
 
 def make_distribution(points, probs) -> DiscreteDistribution:
@@ -123,12 +116,20 @@ def gaussian_grid(mean: float, std: float, n: int, halfwidth: float) -> Discrete
     return make_distribution(xs, w / w.sum())
 
 
+def _json_numbers(v, depth: int) -> bool:
+    """v is an int or float (not a bool), or a list of them nested <= depth deep."""
+    if isinstance(v, list):
+        return depth > 0 and all(_json_numbers(u, depth - 1) for u in v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def source_from_json(spec: Union[dict, str]) -> DiscreteDistribution:
     """Parse the JSON source spec.
 
     Two forms are accepted:
       {"points": [[..], ..], "probs": [..]}        explicit support
       {"kind": "gaussian-grid", "mean": m, "std": s, "n": N, "halfwidth": w}
+    Every numeric field must be a JSON number, and N must be integral.
     """
     if isinstance(spec, str):
         import json
@@ -138,15 +139,19 @@ def source_from_json(spec: Union[dict, str]) -> DiscreteDistribution:
         raise ValueError("source spec must be a JSON object")
     if spec.get("kind") == "gaussian-grid":
         fields = []
-        for name, cast in (("mean", float), ("std", float), ("n", int), ("halfwidth", float)):
+        for name in ("mean", "std", "n", "halfwidth"):
             if name not in spec:
                 raise ValueError(f"gaussian-grid spec missing field {name!r}")
-            try:
-                fields.append(cast(spec[name]))
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"gaussian-grid field {name!r} must be a number") from None
+            v = spec[name]
+            if not (_json_numbers(v, 0) and abs(v) <= sys.float_info.max) or (name == "n" and v % 1):
+                raise ValueError(f"gaussian-grid field {name!r} must be a finite "
+                                 + ("integer" if name == "n" else "number"))
+            fields.append(int(v) if name == "n" else float(v))
         return gaussian_grid(*fields)
     if "points" in spec and "probs" in spec:
+        for name in ("points", "probs"):
+            if not _json_numbers(spec[name], 2):
+                raise ValueError(f"source field {name!r} must hold numbers only")
         return make_distribution(spec["points"], spec["probs"])
     raise ValueError("source spec needs either 'points'/'probs' or kind 'gaussian-grid'")
 
@@ -185,9 +190,6 @@ class JointXZ:
     def z_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=1)
 
-    def x_marginal(self) -> np.ndarray:
-        return self.mass.sum(axis=0)
-
 
 def joint_from_encoder(source: DiscreteDistribution, enc) -> JointXZ:
     """Joint law p(x, z) induced by a deterministic encoder on the source."""
@@ -210,20 +212,3 @@ def conditional_x_given_z(j: JointXZ, z: int) -> DiscreteDistribution:
         raise ValueError(f"zero-mass cell {z}")
     return make_distribution(j.x_support, j.mass[z] / pz)
 
-
-def expectation(obj, f: Callable[..., float]) -> float:
-    """Exact expectation by weighted summation, no sampling.
-
-    For a DiscreteDistribution, f maps a point (1-D array of length d) to a
-    real. For a JointXZ, f maps (point, code) to a real.
-    """
-    if isinstance(obj, DiscreteDistribution):
-        return float(sum(p * f(x) for x, p in zip(obj.points, obj.probs)))
-    if isinstance(obj, JointXZ):
-        acc = 0.0
-        for z in range(obj.K):
-            row = obj.mass[z]
-            for i in np.nonzero(row)[0]:
-                acc += row[i] * f(obj.x_support[i], z)
-        return float(acc)
-    raise TypeError("expectation expects a DiscreteDistribution or JointXZ")

@@ -271,8 +271,8 @@ def _set_partitions(n: int, k: int, prefix: tuple = (0,)):
         yield from _set_partitions(n, k, prefix + (z,))
 
 
-def universal_encoder_check(source: DiscreteDistribution, k: int, p_grid: Sequence[float],
-                            cap: int = ENUMERATION_CAP) -> UniversalityReport:
+def universal_encoder_check(source: DiscreteDistribution, k: int,
+                            p_grid: Sequence[float]) -> UniversalityReport:
     """Certify that no encoder beats the MMSE partition at any budget P.
 
     The MMSE row is the value constrained_oracle attains over
@@ -281,12 +281,12 @@ def universal_encoder_check(source: DiscreteDistribution, k: int, p_grid: Sequen
     from one W2 LP: any decoder's error is D_d + E||Xd - X̂||² by orthogonality,
     the W2 triangle inequality bounds the second term below, and the OT
     interpolation attains it (Freirich, Michaeli & Meir 2021). Relabelings
-    share a value, so each partition is visited once; the cap still bounds
-    the K^n labeled assignments.
+    share a value, so each partition is visited once; ENUMERATION_CAP still
+    bounds the K^n labeled assignments.
     """
     n = source.n
-    if k**n > cap:
-        raise ValueError(f"enumeration cap exceeded: K^n = {k}^{n} > {cap}")
+    if k**n > ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap exceeded: K^n = {k}^{n} > {ENUMERATION_CAP}")
     p_grid = [float(p) for p in p_grid]
     for p in p_grid:
         check_budget(p)

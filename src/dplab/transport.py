@@ -34,14 +34,6 @@ class TransportPlan:
     row: Optional[DiscreteDistribution] = None
     col: Optional[DiscreteDistribution] = None
 
-    def marginal_gap(self) -> float:
-        """Worst absolute deviation of the plan's marginals from its inputs."""
-        if self.row is None or self.col is None:
-            return 0.0
-        gr = np.abs(self.pi.sum(axis=1) - self.row.probs).max()
-        gc = np.abs(self.pi.sum(axis=0) - self.col.probs).max()
-        return float(max(gr, gc))
-
     def to_jsonable(self) -> dict:
         out = {"pi": self.pi.tolist(), "cost": self.cost, "order": self.order}
         if self.row is not None:

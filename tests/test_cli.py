@@ -16,11 +16,7 @@ from dplab.cli import (
     parse_alpha_range,
     parse_lambda_list,
 )
-from dplab.codec import (
-    codec_from_json,
-    exhaustive_optimal_encoder,
-    perceptual_decoder_for,
-)
+from dplab.codec import exhaustive_optimal_encoder, perceptual_decoder_for
 from dplab.distcore import builtin_source
 
 SWEEP_GOLDEN = (
@@ -172,25 +168,25 @@ def test_artifacts_byte_deterministic(tmp_path):
 def test_mmse_round_trip(tmp_path):
     out = tmp_path / "codec.json"
     assert main(["mmse", "--rate", "1", "--out", str(out)]) == 0
-    enc2, gd2, gp2 = codec_from_json(json.loads(out.read_text()))
+    obj = json.loads(out.read_text())
     enc, gd, _ = exhaustive_optimal_encoder(builtin_source("u4"), 2)
-    assert np.array_equal(enc2.assignment, enc.assignment)
-    assert np.array_equal(gd2.table, gd.table)
-    assert gp2 is None
+    assert obj["K"] == 2 and np.array_equal(np.asarray(obj["assignment"]), enc.assignment)
+    assert np.array_equal(np.asarray(obj["gd"]), gd.table)
+    assert "gp" not in obj
 
 
 def test_perceptual_round_trip(tmp_path):
     out = tmp_path / "codec.json"
     assert main(["perceptual", "--source", "builtin:gauss33", "--rate", "2",
                  "--out", str(out)]) == 0
-    enc2, gd2, gp2 = codec_from_json(json.loads(out.read_text()))
+    obj = json.loads(out.read_text())
     src = builtin_source("gauss33")
     enc, _, _ = exhaustive_optimal_encoder(src, 4)
     gp = perceptual_decoder_for(src, enc)
-    assert gd2 is None
-    assert np.array_equal(enc2.assignment, enc.assignment)
-    assert np.array_equal(gp2.out_support, gp.out_support)
-    assert np.array_equal(gp2.table, gp.table)
+    assert "gd" not in obj
+    assert obj["K"] == 4 and np.array_equal(np.asarray(obj["assignment"]), enc.assignment)
+    assert np.array_equal(np.asarray(obj["gp"]["support"]), gp.out_support)
+    assert np.array_equal(np.asarray(obj["gp"]["rows"]), gp.table)
 
 
 def test_oracle_payload(capsys):
@@ -301,6 +297,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["mmse", "--source", _grid_source(tmp_path / "null_mean.json", mean=None)],
         ["mmse", "--source", _grid_source(tmp_path / "list_n.json", n=[9])],
         ["mmse", "--source", _grid_source(tmp_path / "huge_n.json", n=1e15)],
+        # numeric fields must be JSON numbers, and n integral
+        ["mmse", "--source", _grid_source(tmp_path / "frac_n.json", n=9.7)],
+        ["mmse", "--source", _grid_source(tmp_path / "bool_n.json", n=True)],
+        ["mmse", "--source", _grid_source(tmp_path / "str_n.json", n="9")],
+        ["mmse", "--source", _grid_source(tmp_path / "str_mean.json", mean="0")],
+        ["mmse", "--source", _grid_source(tmp_path / "bool_mean.json", mean=True)],
+        ["mmse", "--source", _json_source(tmp_path / "str_pts.json", [["1"], ["2"]])],
+        ["mmse", "--source", _json_source(tmp_path / "bool_pts.json", [[True], [False]])],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from dplab import codec
 from dplab.codec import (
     DeterministicDecoder,
     Encoder,
     StochasticDecoder,
     check_zd_xd_bijective,
-    codec_from_json,
     codec_to_json,
     decoder_output_dist,
     distortion,
@@ -16,6 +16,7 @@ from dplab.codec import (
     perceptual_decoder_for,
 )
 from dplab.distcore import builtin_source, gaussian_grid, make_distribution
+from dplab.tradeoff import universal_encoder_check
 
 U4 = builtin_source("u4")
 ENC_HALVES = Encoder(np.array([0, 0, 1, 1]), 2)
@@ -30,9 +31,6 @@ def test_encoder_validation():
         Encoder(np.array([0]), 0)
     with pytest.raises(ValueError, match="flat"):
         Encoder(np.zeros((2, 2), dtype=int), 2)
-    assert Encoder(np.array([0, 1, 1, 0]), 2).rate == 1.0
-    cells = ENC_HALVES.cells()
-    assert cells[0].tolist() == [0, 1] and cells[1].tolist() == [2, 3]
 
 
 def test_decoder_validation():
@@ -171,8 +169,6 @@ def test_lloyd_not_below_exhaustive():
 def test_lloyd_validation():
     with pytest.raises(ValueError, match="K > n"):
         lloyd_train(U4, 5)
-    with pytest.raises(ValueError, match="max_iter"):
-        lloyd_train(U4, 2, max_iter=0)
 
 
 def test_exhaustive_u4():
@@ -209,10 +205,10 @@ def test_interval_fallback_matches_full_enumeration(seed, k):
     rng = np.random.default_rng(seed)
     w = rng.random(10) + 0.1
     src = make_distribution(rng.normal(size=10), w / w.sum())
-    enc_full, _, d_full = exhaustive_optimal_encoder(src, k)
-    enc_int, _, d_int = exhaustive_optimal_encoder(src, k, cap=1)
-    assert abs(d_full - d_int) <= 1e-12
-    assert enc_int.assignment.tolist() == enc_full.assignment.tolist()
+    enc_int, _, d_int = exhaustive_optimal_encoder(src, k)
+    full = Encoder(codec._exhaustive_full(src, k), k)
+    assert abs(distortion(src, full, mmse_decoder_for(src, full)) - d_int) <= 1e-12
+    assert enc_int.assignment.tolist() == full.assignment.tolist()
 
 
 @pytest.mark.parametrize("n, k, want", [
@@ -225,20 +221,20 @@ def test_interval_search_tie_break(n, k, want):
     # mirror-image optima tie in exact arithmetic; the interval search's float
     # sums decide, then its smallest-assignment rule at an exact float tie
     src = make_distribution(np.arange(float(n)), np.full(n, 1.0 / n))
-    assert exhaustive_optimal_encoder(src, k, cap=1)[0].assignment.tolist() == want
+    assert exhaustive_optimal_encoder(src, k)[0].assignment.tolist() == want
 
 
-@pytest.mark.parametrize("n, k, cap, want", [
-    (7, 4, 1, [0, 0, 1, 2, 2, 3, 3]),
-    (14, 8, 10**7, [0, 0, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7, 7]),
+@pytest.mark.parametrize("n, k, want", [
+    (7, 4, [0, 0, 1, 2, 2, 3, 3]),
+    (14, 8, [0, 0, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7, 7]),
 ], ids=["n7-k4-cap1", "n14-k8"])
-def test_interval_search_tie_through_absorbed_prefix(n, k, cap, want):
+def test_interval_search_tie_through_absorbed_prefix(n, k, want):
     # Cells {0,1},{2} and {0},{1,2} have equal MSE in exact arithmetic, but the
     # second prefix sums one ulp lower; adding the next cell rounds both to one
     # total, so the tie is settled by the larger break tuple, whose prefix was
     # not the least.
     src = make_distribution(np.arange(n) * 0.1, np.full(n, 1.0 / n))
-    assert exhaustive_optimal_encoder(src, k, cap=cap)[0].assignment.tolist() == want
+    assert exhaustive_optimal_encoder(src, k)[0].assignment.tolist() == want
 
 
 def test_interval_search_masses_lost_in_rounding():
@@ -259,31 +255,44 @@ def test_interval_search_gauss33_rate3():
         [0] * 10 + [1] * 3 + [2] * 2 + [3] * 2 + [4] * 2 + [5] * 2 + [6] * 3 + [7] * 9)
 
 
+def test_one_d_search_never_enumerates(monkeypatch):
+    def refuse(source, K):
+        raise AssertionError("K^n enumeration reached")
+
+    monkeypatch.setattr(codec, "_exhaustive_full", refuse)
+    u2 = builtin_source("u2")
+    assert exhaustive_optimal_encoder(u2, 2)[0].assignment.tolist() == [0, 1]
+    assert exhaustive_optimal_encoder(U4, 2)[0].assignment.tolist() == [0, 0, 1, 1]
+    assert exhaustive_optimal_encoder(U4, 4)[0].assignment.tolist() == [0, 1, 2, 3]
+    enc, _, _ = exhaustive_optimal_encoder(gaussian_grid(0.0, 1.0, 22, 3.0), 2)
+    assert enc.assignment.tolist() == [0] * 11 + [1] * 11
+    assert exhaustive_optimal_encoder(gaussian_grid(0.0, 1.0, 600, 4.0), 1)[2] > 0
+    planar = make_distribution(np.arange(8.0).reshape(4, 2), np.full(4, 0.25))
+    with pytest.raises(AssertionError, match="enumeration reached"):
+        exhaustive_optimal_encoder(planar, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("search", [
+    lambda k: exhaustive_optimal_encoder(U4, k),
+    lambda k: lloyd_train(U4, k),
+    lambda k: universal_encoder_check(U4, k, [0.1]),
+], ids=["exhaustive", "lloyd", "universality"])
+def test_code_count_below_one_refused(search, k):
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        search(k)
+
+
 def test_exhaustive_cap_error_multidim():
+    # 2^24 assignments pass ENUMERATION_CAP; a planar source has no interval DP
     rng = np.random.default_rng(5)
-    src = make_distribution(rng.normal(size=(8, 2)), np.full(8, 0.125))
+    src = make_distribution(rng.normal(size=(24, 2)), np.full(24, 1 / 24))
     with pytest.raises(ValueError, match="cap exceeded"):
-        exhaustive_optimal_encoder(src, 2, cap=100)
+        exhaustive_optimal_encoder(src, 2)
     with pytest.raises(ValueError, match="K > n"):
         exhaustive_optimal_encoder(U4, 5)
 
 
-def test_codec_json_round_trip():
-    enc, gd, _ = exhaustive_optimal_encoder(builtin_source("gauss33"), 4)
-    gp = perceptual_decoder_for(builtin_source("gauss33"), enc)
-    obj = codec_to_json(enc, gd=gd, gp=gp)
-    enc2, gd2, gp2 = codec_from_json(obj)
-    assert enc2.K == enc.K
-    assert np.array_equal(enc2.assignment, enc.assignment)
-    assert np.array_equal(gd2.table, gd.table)
-    assert np.array_equal(gp2.out_support, gp.out_support)
-    assert np.array_equal(gp2.table, gp.table)
-
-
 def test_codec_json_partial_and_errors():
-    enc, gd, _ = exhaustive_optimal_encoder(U4, 2)
-    enc2, gd2, gp2 = codec_from_json(codec_to_json(enc))
-    assert gd2 is None and gp2 is None
-    assert np.array_equal(enc2.assignment, enc.assignment)
-    with pytest.raises(ValueError, match="codec JSON"):
-        codec_from_json({"assignment": [0, 1]})
+    enc, _, _ = exhaustive_optimal_encoder(U4, 2)
+    assert codec_to_json(enc) == {"K": 2, "assignment": [0, 0, 1, 1]}

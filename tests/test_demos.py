@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_five_demos_found():
@@ -42,3 +43,10 @@ DEMO_03_STDOUT = (
 def test_demo_03_stdout_pinned(capsys):
     runpy.run_path(str(DEMOS[2]), run_name="__main__")
     assert capsys.readouterr().out == DEMO_03_STDOUT
+
+
+def test_readme_quick_start(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("alpha,D_measured,P_measured")

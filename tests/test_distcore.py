@@ -9,12 +9,14 @@ from dplab.codec import Encoder
 from dplab.distcore import (
     builtin_source,
     conditional_x_given_z,
-    expectation,
     gaussian_grid,
     joint_from_encoder,
     make_distribution,
     source_from_json,
 )
+
+GRID = {"kind": "gaussian-grid", "mean": 0.0, "std": 1.0, "n": 9, "halfwidth": 4.0}
+PAIR = {"points": [[1.0], [2.0]], "probs": [0.5, 0.5]}
 
 
 def test_u4_construction():
@@ -125,7 +127,7 @@ def test_gaussian_grid_shape_and_symmetry():
     assert xs[0] == -4.0 and xs[-1] == 4.0
     assert np.allclose(xs, -xs[::-1], atol=0)
     assert np.allclose(d.probs, d.probs[::-1], atol=0)
-    assert abs(d.mean()[0]) <= 1e-15
+    assert abs(d.probs @ xs) <= 1e-15
     # weights peak at the center
     assert d.probs.argmax() == 16
 
@@ -142,6 +144,7 @@ def test_gaussian_grid_validation():
 def test_source_from_json_points_form():
     d = source_from_json({"points": [[0.0], [1.0]], "probs": [0.5, 0.5]})
     assert d.n == 2
+    assert source_from_json({"points": [0, 1], "probs": [0.5, 0.5]}).n == 2
 
 
 def test_source_from_json_string_and_grid_form():
@@ -150,6 +153,8 @@ def test_source_from_json_string_and_grid_form():
     ref = builtin_source("gauss33")
     assert np.array_equal(d.points, ref.points)
     assert np.array_equal(d.probs, ref.probs)
+    # an integral float is a valid point count
+    assert source_from_json({**GRID, "n": 9.0}).n == 9
 
 
 def test_source_from_json_errors():
@@ -159,6 +164,23 @@ def test_source_from_json_errors():
         source_from_json({"nope": 1})
     with pytest.raises(ValueError):
         source_from_json([1, 2])
+
+
+@pytest.mark.parametrize("spec", [
+    {**GRID, "n": 9.7},
+    {**GRID, "n": True},
+    {**GRID, "n": "9"},
+    {**GRID, "mean": "0"},
+    {**GRID, "mean": True},
+    {**GRID, "std": 10**400},
+    {**PAIR, "points": [["1"], ["2"]]},
+    {**PAIR, "points": [[True], [False]]},
+    {**PAIR, "probs": ["0.5", "0.5"]},
+], ids=["n-fraction", "n-bool", "n-string", "mean-string", "mean-bool", "std-huge-int",
+        "points-strings", "points-bools", "probs-strings"])
+def test_source_json_fields_must_be_numbers(spec):
+    with pytest.raises(ValueError, match="must be a finite|numbers only"):
+        source_from_json(spec)
 
 
 def test_builtin_source_names():
@@ -175,7 +197,7 @@ def test_joint_from_encoder_u4():
     expected = np.array([[0.25, 0.25, 0.0, 0.0], [0.0, 0.0, 0.25, 0.25]])
     assert np.array_equal(j.mass, expected)
     assert np.array_equal(j.z_marginal(), [0.5, 0.5])
-    assert np.array_equal(j.x_marginal(), u4.probs)
+    assert np.array_equal(j.mass.sum(axis=0), u4.probs)
 
 
 def test_joint_rate_zero():
@@ -215,33 +237,3 @@ def test_conditional_zero_mass_cell_error():
     j = joint_from_encoder(u4, Encoder(np.zeros(4, dtype=int), 2))
     with pytest.raises(ValueError, match="zero-mass cell"):
         conditional_x_given_z(j, 1)
-
-
-def test_expectation_examples():
-    u4 = builtin_source("u4")
-    assert expectation(u4, lambda x: x[0]) == 1.5
-    assert expectation(u4, lambda x: (x[0] - 1.5) ** 2) == 1.25
-    pm = make_distribution([7.0], [1.0])
-    assert expectation(pm, lambda x: x[0] ** 2) == 49.0
-
-
-def test_expectation_on_joint():
-    u4 = builtin_source("u4")
-    j = joint_from_encoder(u4, Encoder(np.array([0, 0, 1, 1]), 2))
-    assert expectation(j, lambda x, z: float(z)) == 0.5
-    assert expectation(j, lambda x, z: x[0]) == 1.5
-
-
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
-@settings(max_examples=60, deadline=None)
-def test_expectation_linearity(seed, a, b):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 8))
-    w = rng.random(n) + 0.05
-    d = make_distribution(rng.normal(size=n), w / w.sum())
-    f = lambda x: float(np.sin(x[0]))
-    g = lambda x: float(x[0] ** 2)
-    combo = expectation(d, lambda x: a * f(x) + b * g(x))
-    split = a * expectation(d, f) + b * expectation(d, g)
-    assert abs(combo - split) <= 1e-12 * max(1.0, abs(split))

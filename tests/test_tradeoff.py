@@ -398,9 +398,9 @@ def test_universality_lossless_rate():
 
 def test_universality_validation():
     rng = np.random.default_rng(9)
-    src = make_distribution(rng.normal(size=8), np.full(8, 0.125))
+    src = make_distribution(rng.normal(size=24), np.full(24, 1 / 24))
     with pytest.raises(ValueError, match="cap exceeded"):
-        universal_encoder_check(src, 2, [0.0], cap=100)
+        universal_encoder_check(src, 2, [0.0])
     with pytest.raises(ValueError, match="perception must be ≥ 0"):
         universal_encoder_check(U4, 2, [-0.5])
 
