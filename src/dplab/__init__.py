@@ -7,7 +7,6 @@ solver precision.
 """
 from .distcore import (
     DiscreteDistribution,
-    JointXZ,
     builtin_source,
     conditional_x_given_z,
     gaussian_grid,

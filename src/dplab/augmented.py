@@ -58,7 +58,7 @@ def _pair_laws(source: DiscreteDistribution, enc: Encoder, tags: np.ndarray,
     T = tags[Z]: the gd table gives the Xd pairs, a code-index column the Zd
     pairs.
     """
-    pz = joint_from_encoder(source, enc).z_marginal()
+    pz = joint_from_encoder(source, enc).sum(axis=1)
     blocks, masses = [], []
     for z in range(enc.K):
         if pz[z] <= 0:
@@ -77,7 +77,7 @@ def _pair_laws(source: DiscreteDistribution, enc: Encoder, tags: np.ndarray,
 
 def _mean_deviation(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
                     dec: StochasticDecoder) -> float:
-    pz = joint_from_encoder(source, enc).z_marginal()
+    pz = joint_from_encoder(source, enc).sum(axis=1)
     norms = np.sqrt(sq_dists(gd.table, dec.out_support))
     return float(np.einsum("z,zm,zm->", pz, dec.table, norms))
 
@@ -113,7 +113,7 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
     # the W1 gap of the solution couples n source atoms, so refuse before the LP
     if source.n > SIZE_CAP:
         raise ValueError(f"size cap exceeded: {source.n} support points > {SIZE_CAP}")
-    pz = joint_from_encoder(source, enc).z_marginal()
+    pz = joint_from_encoder(source, enc).sum(axis=1)
     if np.any(pz <= 0):
         raise ValueError(f"empty cell {int(np.argmin(pz))}")
 

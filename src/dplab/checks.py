@@ -105,11 +105,11 @@ def _check_canonical_support(ctx: _Ctx) -> CheckResult:
 
 
 def _check_conditional_reassembly(ctx: _Ctx) -> CheckResult:
-    j = joint_from_encoder(ctx.source, ctx.enc)
-    pz = j.z_marginal()
+    mass = joint_from_encoder(ctx.source, ctx.enc)
+    pz = mass.sum(axis=1)
     mix = np.zeros(ctx.source.n)
     for z in range(ctx.enc.K):
-        cond = conditional_x_given_z(j, z)
+        cond = conditional_x_given_z(ctx.source, mass, z)
         for pt, pr in zip(cond.points, cond.probs):
             i = int(np.nonzero((ctx.source.points == pt).all(axis=1))[0][0])
             mix[i] += pz[z] * pr
@@ -148,7 +148,7 @@ def _check_orthogonality(ctx: _Ctx) -> CheckResult:
 
 def _check_cross_term(ctx: _Ctx) -> CheckResult:
     # E‖Xd−Xp‖² with Xd, Xp conditionally independent given Z
-    pz = joint_from_encoder(ctx.source, ctx.enc).z_marginal()
+    pz = joint_from_encoder(ctx.source, ctx.enc).sum(axis=1)
     sq = sq_dists(ctx.gd.table, ctx.gp.out_support)
     lhs = float(np.einsum("z,zm,zm->", pz, ctx.gp.table, sq))
     gap = abs(lhs - ctx.d_d)
@@ -367,7 +367,7 @@ def _check_optimal_pair_structure(ctx: _Ctx) -> CheckResult:
     detail_extra = ""
     if ctx.source.dim == 1:
         out_law = make_distribution(
-            ctx.gd.table, joint_from_encoder(ctx.source, ctx.enc).z_marginal())
+            ctx.gd.table, joint_from_encoder(ctx.source, ctx.enc).sum(axis=1))
         closed = w_1d_closed_form(ctx.source, out_law, 2)
         closed_gap = abs(closed - ctx.p_d)
         closed_ok = closed_gap <= 1e-10

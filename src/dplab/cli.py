@@ -13,19 +13,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ._format import csv_text, json_text
+from ._format import json_text
 from .augmented import PHASE_COLUMNS, phase_sweep, phase_to_csv
 from .checks import report_text, run_checks
 from .codec import (
     codec_to_json,
     exhaustive_optimal_encoder,
     lloyd_train,
-    mmse_decoder_for,
     perceptual_decoder_for,
     distortion,
     decoder_output_dist,
@@ -43,27 +41,8 @@ from .tradeoff import (
 )
 from .transport import w2sq_exact
 
-_DEFAULT_LAMBDAS = "0,0.25,0.5,0.9,1.1,1.5,2"
 # each alpha costs an interpolation and a W2 LP; 0:1:1e-4 is the finest grid on [0, 1]
 MAX_ALPHA_POINTS = 10_001
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One fully parsed run configuration."""
-
-    source: DiscreteDistribution
-    rate: int
-    method: str
-    alphas: Tuple[float, ...]
-    lambdas: Tuple[float, ...]
-    p_grid: Tuple[float, ...]
-    seed: int
-    tol: Optional[float]
-
-    @property
-    def k(self) -> int:
-        return 2 ** self.rate
 
 
 def load_source(text: str) -> DiscreteDistribution:
@@ -103,8 +82,12 @@ def parse_alpha_range(text: str) -> Tuple[float, ...]:
     count = int(span) + 1
     if abs(a + (count - 1) * step - b) <= 1e-9 * max(1.0, abs(b)):
         # endpoint lands on the grid: linspace keeps the values exact
-        return tuple(float(v) for v in np.linspace(a, b, count))
-    return tuple(a + i * step for i in range(count))
+        alphas = tuple(float(v) for v in np.linspace(a, b, count))
+    else:
+        alphas = tuple(a + i * step for i in range(count))
+    if any(not 0.0 <= v <= 1.0 for v in alphas):
+        raise ValueError("alpha out of range [0, 1]")
+    return alphas
 
 
 def parse_lambda_list(text: str) -> Tuple[float, ...]:
@@ -122,34 +105,14 @@ def parse_lambda_list(text: str) -> Tuple[float, ...]:
     return vals
 
 
-def scenario_from_args(args: argparse.Namespace) -> Scenario:
-    source = load_source(args.source)
-    alphas = parse_alpha_range(getattr(args, "alphas", "0:1:0.05"))
-    if any(not 0.0 <= a <= 1.0 for a in alphas):
-        raise ValueError("alpha out of range [0, 1]")
-    lambdas = parse_lambda_list(getattr(args, "lambdas", _DEFAULT_LAMBDAS))
-    p = getattr(args, "perception", None)
-    if p is not None:
-        check_budget(p)
-    return Scenario(
-        source=source,
-        rate=args.rate,
-        method=args.method,
-        alphas=alphas,
-        lambdas=lambdas,
-        p_grid=() if p is None else (float(p),),
-        seed=args.seed,
-        tol=args.tol,
-    )
-
-
-def build_codec(sc: Scenario):
-    """(encoder, conditional-mean decoder) for the scenario's method."""
-    if sc.method == "exhaustive":
-        enc, gd, _ = exhaustive_optimal_encoder(sc.source, sc.k)
+def build_codec(args: argparse.Namespace, source: DiscreteDistribution):
+    """(encoder, conditional-mean decoder) by --method at K = 2^--rate."""
+    k = 2 ** args.rate
+    if args.method == "exhaustive":
+        enc, gd, _ = exhaustive_optimal_encoder(source, k)
         return enc, gd
-    kwargs = {} if sc.tol is None else {"tol": sc.tol}
-    return lloyd_train(sc.source, sc.k, seed=sc.seed, **kwargs)
+    kwargs = {} if args.tol is None else {"tol": args.tol}
+    return lloyd_train(source, k, seed=args.seed, **kwargs)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -172,26 +135,26 @@ def _rows_json(columns, rows) -> str:
 
 
 def cmd_mmse(args: argparse.Namespace) -> int:
-    sc = scenario_from_args(args)
-    enc, gd = build_codec(sc)
+    enc, gd = build_codec(args, load_source(args.source))
     payload = codec_to_json(enc, gd=gd)
     _emit(_json_artifact(payload), args.out)
     return 0
 
 
 def cmd_perceptual(args: argparse.Namespace) -> int:
-    sc = scenario_from_args(args)
-    enc, _ = build_codec(sc)
-    payload = codec_to_json(enc, gp=perceptual_decoder_for(sc.source, enc))
+    source = load_source(args.source)
+    enc, _ = build_codec(args, source)
+    payload = codec_to_json(enc, gp=perceptual_decoder_for(source, enc))
     _emit(_json_artifact(payload), args.out)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    sc = scenario_from_args(args)
-    enc, gd = build_codec(sc)
-    gp = perceptual_decoder_for(sc.source, enc)
-    points = sweep(sc.source, enc, gd, gp, list(sc.alphas))
+    source = load_source(args.source)
+    alphas = parse_alpha_range(args.alphas)
+    enc, gd = build_codec(args, source)
+    gp = perceptual_decoder_for(source, enc)
+    points = sweep(source, enc, gd, gp, list(alphas))
     if args.format == "csv":
         _emit(sweep_to_csv(points), args.out)
     else:
@@ -200,9 +163,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_theorem2(args: argparse.Namespace) -> int:
-    sc = scenario_from_args(args)
-    enc, gd = build_codec(sc)
-    solutions = phase_sweep(sc.source, enc, gd, list(sc.lambdas))
+    source = load_source(args.source)
+    lambdas = parse_lambda_list(args.lambdas)
+    enc, gd = build_codec(args, source)
+    solutions = phase_sweep(source, enc, gd, list(lambdas))
     if args.format == "csv":
         _emit(phase_to_csv(solutions), args.out)
     else:
@@ -211,14 +175,15 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    sc = scenario_from_args(args)
-    p_budget = sc.p_grid[0]
-    enc, gd = build_codec(sc)
-    gp = perceptual_decoder_for(sc.source, enc)
-    d_d = distortion(sc.source, enc, gd)
-    p_d = w2sq_exact(sc.source, decoder_output_dist(sc.source, enc, gd)).cost
-    sup = default_oracle_support(sc.source, gd, gp)
-    d_star, dec = constrained_oracle(sc.source, enc, p_budget, sup)
+    source = load_source(args.source)
+    p_budget = args.perception
+    check_budget(p_budget)
+    enc, gd = build_codec(args, source)
+    gp = perceptual_decoder_for(source, enc)
+    d_d = distortion(source, enc, gd)
+    p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+    sup = default_oracle_support(source, gd, gp)
+    d_star, dec = constrained_oracle(source, enc, p_budget, sup)
     alpha = alpha_for_perception(p_budget, p_d) if p_d > 0 else 1.0
     payload = {
         "perception": p_budget,
@@ -230,16 +195,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "out_support_size": int(sup.shape[0]),
     }
     if args.dump_plan:
-        plan = w2sq_exact(sc.source, decoder_output_dist(sc.source, enc, dec))
+        plan = w2sq_exact(source, decoder_output_dist(source, enc, dec))
         payload["plan"] = plan.to_jsonable()
     _emit(_json_artifact(payload), args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    sc = scenario_from_args(args)
-    rel_tol = sc.tol if sc.tol is not None else 1e-6
-    results = run_checks(sc.source, sc.k, seed=sc.seed, rel_tol=rel_tol)
+    source = load_source(args.source)
+    rel_tol = args.tol if args.tol is not None else 1e-6
+    results = run_checks(source, 2 ** args.rate, seed=args.seed, rel_tol=rel_tol)
     _emit(report_text(results), args.out)
     return 0 if all(r.passed for r in results) else 1
 
@@ -318,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem2", parents=[common, fmt],
                        help="phase transition sweep of the penalized joint-law objective")
-    p.add_argument("--lambdas", default=_DEFAULT_LAMBDAS,
+    p.add_argument("--lambdas", default="0,0.25,0.5,0.9,1.1,1.5,2",
                    help="comma-separated ascending penalty weights")
     p.set_defaults(handler=cmd_theorem2)
 

@@ -116,11 +116,11 @@ def _require_finite_mse(source: DiscreteDistribution) -> None:
 
 def mmse_decoder_for(source: DiscreteDistribution, enc: Encoder) -> DeterministicDecoder:
     """Conditional-mean decoder: table[z] = E[X | Z=z]."""
-    j = joint_from_encoder(source, enc)
-    pz = j.z_marginal()
+    mass = joint_from_encoder(source, enc)
+    pz = mass.sum(axis=1)
     if np.any(pz <= 0):
         raise ValueError(f"empty cell {int(np.argmin(pz))}")
-    table = (j.mass @ source.points) / pz[:, None]
+    table = (mass @ source.points) / pz[:, None]
     return DeterministicDecoder(table)
 
 
@@ -130,11 +130,11 @@ def perceptual_decoder_for(source: DiscreteDistribution, enc: Encoder) -> Stocha
     Its output marginal is the source law itself, which is what makes it the
     perfect-perception endpoint.
     """
-    j = joint_from_encoder(source, enc)
-    pz = j.z_marginal()
+    mass = joint_from_encoder(source, enc)
+    pz = mass.sum(axis=1)
     if np.any(pz <= 0):
         raise ValueError(f"empty cell {int(np.argmin(pz))}")
-    return StochasticDecoder(source.points.copy(), j.mass / pz[:, None])
+    return StochasticDecoder(source.points.copy(), mass / pz[:, None])
 
 
 def distortion(source: DiscreteDistribution, enc: Encoder, dec: Decoder) -> float:
@@ -154,7 +154,7 @@ def decoder_output_dist(
     source: DiscreteDistribution, enc: Encoder, dec: Decoder
 ) -> DiscreteDistribution:
     """Exact output marginal p_{X̂} = Σ_z p(z) q(.|z)."""
-    pz = joint_from_encoder(source, enc).z_marginal()
+    pz = joint_from_encoder(source, enc).sum(axis=1)
     if isinstance(dec, DeterministicDecoder):
         return make_distribution(dec.table, pz)
     return make_distribution(dec.out_support, pz @ dec.table)
@@ -295,7 +295,8 @@ def _interval_dp(source, K):
 def _exhaustive_full(source, K):
     n = source.n
     pts, probs = source.points, source.probs
-    ex2 = float(np.einsum("i,id,id->", probs, pts, pts))
+    # per point: p, p·x, p·‖x‖², so one product gives every cell's moments
+    moments = np.column_stack([probs, probs[:, None] * pts, probs * np.einsum("id,id->i", pts, pts)])
     total = K**n
     chunk = max(1, min(total, 4_000_000 // max(1, n * K)))
     codes = np.arange(K)
@@ -307,18 +308,19 @@ def _exhaustive_full(source, K):
         # base-K digits of idx, most significant first; unlike np.unravel_index
         # this has no 64-dimension limit, which K = 1 reaches at n > 64
         assigns = idx[:, None] // K ** np.arange(n - 1, -1, -1, dtype=np.int64) % K
-        onehot = (assigns[:, :, None] == codes[None, None, :]).astype(np.float64)
-        m = np.einsum("bik,i->bk", onehot, probs)
-        s = np.einsum("bik,i,id->bkd", onehot, probs, pts)
-        safe_m = np.where(m > 0, m, 1.0)
-        # An empty cell explains -inf, so its assignment scores MSE +inf: with
-        # K <= n distinct points some optimum fills every cell, and cancellation
-        # in ex2 - Σ explained could otherwise rank an empty cell first.
-        explained = np.where(m > 0, np.einsum("bkd,bkd->bk", s, s) / safe_m, -np.inf)
+        onehot = (assigns[:, None, :] == codes[None, :, None]).astype(np.float64)
+        cells = onehot @ moments  # (b, K, d + 2)
+        m, s = cells[..., 0], cells[..., 1:-1]
+        # Cell MSE Σp‖x‖² − ‖Σpx‖²/m, as in the interval DP: summing per-cell
+        # terms keeps a tiny cell's error from cancelling against E‖X‖². An
+        # empty cell scores +inf: with K <= n distinct points some optimum
+        # fills every cell.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cell_mse = np.where(m > 0, cells[..., -1] - np.einsum("bkd,bkd->bk", s, s) / m, np.inf)
         # summing cells in sorted order makes relabeled partitions tie bit-exactly,
         # so the first minimum really is the lexicographically smallest assignment
-        explained.sort(axis=1)
-        mse = ex2 - explained.sum(axis=1)
+        cell_mse.sort(axis=1)
+        mse = cell_mse.sum(axis=1)
         j = int(np.argmin(mse))
         if mse[j] < best_mse:
             best_mse = float(mse[j])

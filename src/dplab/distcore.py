@@ -1,8 +1,9 @@
 """Finite discrete distributions, joint source-code laws, and conditionals.
 
-Everything downstream (transport, codecs, tradeoff sweeps) computes on the two
-value types defined here. Both are immutable; all probability mass is kept in
-double precision with a 1e-9 drift tolerance on input and 1e-12 maintained
+Everything downstream (transport, codecs, tradeoff sweeps) computes on the
+immutable DiscreteDistribution defined here and on the (K, n) joint mass of a
+source and a code, a read-only array. All probability mass is kept in double
+precision with a 1e-9 drift tolerance on input and 1e-12 maintained
 internally. Support points are compared bit-exactly, so callers are expected to
 supply the points they mean (no epsilon merging).
 """
@@ -167,32 +168,10 @@ def builtin_source(name: str) -> DiscreteDistribution:
     raise ValueError(f"unknown builtin source '{name}' (have: u2, u4, gauss33)")
 
 
-@dataclass(frozen=True, eq=False)
-class JointXZ:
-    """Joint law of the source X and a deterministic code Z on [0, K).
-
-    mass[z, i] = p(X = x_support[i], Z = z). Column sums reproduce the source
-    probabilities; total mass is 1 within 1e-12.
-    """
-
-    x_support: np.ndarray  # (n, d)
-    K: int
-    mass: np.ndarray  # (K, n)
-
-    def __post_init__(self):
-        if self.mass.shape != (self.K, self.x_support.shape[0]):
-            raise ValueError("dimension mismatch between mass matrix and support")
-        if np.any(self.mass < 0):
-            raise ValueError("negative prob in joint mass")
-        if abs(float(self.mass.sum()) - 1.0) > MASS_TOL:
-            raise ValueError("joint mass must total 1 within 1e-12")
-
-    def z_marginal(self) -> np.ndarray:
-        return self.mass.sum(axis=1)
-
-
-def joint_from_encoder(source: DiscreteDistribution, enc) -> JointXZ:
-    """Joint law p(x, z) induced by a deterministic encoder on the source."""
+def joint_from_encoder(source: DiscreteDistribution, enc) -> np.ndarray:
+    """Read-only (K, n) joint law of X and a deterministic code Z on [0, K):
+    mass[z, i] = p(X = source.points[i], Z = z). Column sums are the source
+    probabilities; row sums are p(z)."""
     assignment = np.asarray(enc.assignment, dtype=np.int64)
     if assignment.shape != (source.n,):
         raise ValueError("unassigned support point: assignment must cover every support index")
@@ -200,15 +179,15 @@ def joint_from_encoder(source: DiscreteDistribution, enc) -> JointXZ:
         raise ValueError(f"code index out of range [0, {enc.K})")
     mass = np.zeros((enc.K, source.n), dtype=np.float64)
     mass[assignment, np.arange(source.n)] = source.probs
-    return JointXZ(_readonly(source.points.copy()), enc.K, _readonly(mass))
+    return _readonly(mass)
 
 
-def conditional_x_given_z(j: JointXZ, z: int) -> DiscreteDistribution:
-    """p_{X | Z=z}; errors on a zero-mass cell."""
-    if not 0 <= z < j.K:
-        raise ValueError(f"code index {z} out of range [0, {j.K})")
-    pz = float(j.mass[z].sum())
+def conditional_x_given_z(source: DiscreteDistribution, mass: np.ndarray,
+                          z: int) -> DiscreteDistribution:
+    """p_{X | Z=z} from the (K, n) joint mass; errors on a zero-mass cell."""
+    if not 0 <= z < mass.shape[0]:
+        raise ValueError(f"code index {z} out of range [0, {mass.shape[0]})")
+    pz = float(mass[z].sum())
     if pz <= 0.0:
         raise ValueError(f"zero-mass cell {z}")
-    return make_distribution(j.x_support, j.mass[z] / pz)
-
+    return make_distribution(source.points, mass[z] / pz)

@@ -201,11 +201,11 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
         raise ValueError("dimension mismatch between out_support and source")
     sup = np.unique(sup, axis=0)
 
-    j = joint_from_encoder(source, enc)
-    pz = j.z_marginal()
+    mass = joint_from_encoder(source, enc)
+    pz = mass.sum(axis=1)
     n, k, m = source.n, enc.K, sup.shape[0]
     sqx = sq_dists(source.points, sup)  # (n, m)
-    cq = j.mass @ sqx                   # (k, m)
+    cq = mass @ sqx                     # (k, m)
 
     nq = k * m
     c = np.concatenate([cq.reshape(-1), np.zeros(n * m)])

@@ -51,6 +51,38 @@ ORACLE_GAUSS33_GOLDEN = (
     "}\n"
 )
 
+MMSE_GAUSS33_GOLDEN = (
+    "{\n"
+    '  "K": 4,\n'
+    '  "assignment": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],\n'
+    '  "gd": [\n'
+    "    [-1.6324185094105257],\n"
+    "    [-0.57770280749105551],\n"
+    "    [0.34650278570028015],\n"
+    "    [1.4312229558368534]\n"
+    "  ]\n"
+    "}\n"
+)
+
+PERCEPTUAL_U4_GOLDEN = (
+    "{\n"
+    '  "K": 2,\n'
+    '  "assignment": [0, 0, 1, 1],\n'
+    '  "gp": {\n'
+    '    "support": [\n'
+    "      [0],\n"
+    "      [1],\n"
+    "      [2],\n"
+    "      [3]\n"
+    "    ],\n"
+    '    "rows": [\n'
+    "      [0.5, 0.5, 0, 0],\n"
+    "      [0, 0, 0.5, 0.5]\n"
+    "    ]\n"
+    "  }\n"
+    "}\n"
+)
+
 VERIFY_U4_GOLDEN = (
     "PASS canonical_support: rebuild bit-stable=True, unique support=True, mass gap 0 (tol 1e-12)\n"
     "PASS conditional_reassembly: max |Σ_z p(z)p(x|z) − p(x)| = 0 (tol 1e-12)\n"
@@ -142,6 +174,13 @@ def test_lp_artifacts_golden(capsys):
     assert main(["oracle", "--source", "builtin:gauss33", "--rate", "2",
                  "--perception", "0.05", "--format", "json"]) == 0
     assert capsys.readouterr().out == ORACLE_GAUSS33_GOLDEN
+
+
+def test_codec_artifacts_golden(capsys):
+    assert main(["mmse", "--source", "builtin:gauss33", "--rate", "2"]) == 0
+    assert capsys.readouterr().out == MMSE_GAUSS33_GOLDEN
+    assert main(["perceptual", "--source", "builtin:u4", "--rate", "1"]) == 0
+    assert capsys.readouterr().out == PERCEPTUAL_U4_GOLDEN
 
 
 def test_sweep_json_rows(capsys):
@@ -309,6 +348,21 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for argv in cases:
         assert main(argv) == 2, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, err", [
+    # a bad source or flag is refused before the codec is built (K > n)
+    (["sweep", "--alphas", "0:2:0.5", "--rate", "5"], "alpha out of range [0, 1]"),
+    (["theorem2", "--lambdas", "2,1", "--source", "builtin:nope"],
+     "unknown builtin source 'nope' (have: u2, u4, gauss33)"),
+    (["oracle", "--perception", "nan", "--rate", "9"], "perception must be finite"),
+    (["theorem2", "--lambdas", "2,1", "--rate", "9"], "lambda grid must be sorted ascending"),
+], ids=["sweep-alphas", "theorem2-source", "oracle-budget", "theorem2-lambdas"])
+def test_first_error_wins(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 def test_mmse_near_duplicate_points_fill_every_cell(capsys, tmp_path):

@@ -249,6 +249,18 @@ def test_interval_search_masses_lost_in_rounding():
     assert abs(d_d - best) <= 1e-12 * best
 
 
+def test_planar_search_tiny_mass_cell():
+    # ranked as E‖X‖² − Σ explained, the 1e-300 cell's error is lost in the
+    # 0.5-scale total and [0, 1, 0] (D = 4e-300) ties the optimum; per-cell
+    # MSE sums keep it
+    src = make_distribution([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [0.5, 0.5, 1e-300])
+    enc, _, d_d = exhaustive_optimal_encoder(src, 2)
+    cands = [Encoder(np.array(a), 2) for a in ([0, 0, 1], [0, 1, 0], [0, 1, 1])]
+    best = min(distortion(src, e, mmse_decoder_for(src, e)) for e in cands)
+    assert enc.assignment.tolist() == [0, 1, 1]
+    assert d_d == best == 1e-300
+
+
 def test_interval_search_gauss33_rate3():
     enc, _, _ = exhaustive_optimal_encoder(builtin_source("gauss33"), 8)
     assert enc.assignment.tolist() == (

@@ -1,4 +1,6 @@
 import json
+import re
+import types
 
 import numpy as np
 import pytest
@@ -193,24 +195,24 @@ def test_builtin_source_names():
 def test_joint_from_encoder_u4():
     u4 = builtin_source("u4")
     enc = Encoder(np.array([0, 0, 1, 1]), 2)
-    j = joint_from_encoder(u4, enc)
+    mass = joint_from_encoder(u4, enc)
     expected = np.array([[0.25, 0.25, 0.0, 0.0], [0.0, 0.0, 0.25, 0.25]])
-    assert np.array_equal(j.mass, expected)
-    assert np.array_equal(j.z_marginal(), [0.5, 0.5])
-    assert np.array_equal(j.mass.sum(axis=0), u4.probs)
+    assert np.array_equal(mass, expected)
+    assert np.array_equal(mass.sum(axis=1), [0.5, 0.5])
+    assert np.array_equal(mass.sum(axis=0), u4.probs)
 
 
 def test_joint_rate_zero():
     u4 = builtin_source("u4")
-    j = joint_from_encoder(u4, Encoder(np.zeros(4, dtype=int), 1))
-    assert np.array_equal(j.mass, np.full((1, 4), 0.25))
+    mass = joint_from_encoder(u4, Encoder(np.zeros(4, dtype=int), 1))
+    assert np.array_equal(mass, np.full((1, 4), 0.25))
 
 
 def test_joint_interleaved_cells():
     u4 = builtin_source("u4")
-    j = joint_from_encoder(u4, Encoder(np.array([0, 1, 1, 0]), 2))
-    assert j.mass[0, 0] == 0.25 and j.mass[0, 3] == 0.25
-    assert j.mass[1, 1] == 0.25 and j.mass[1, 2] == 0.25
+    mass = joint_from_encoder(u4, Encoder(np.array([0, 1, 1, 0]), 2))
+    assert mass[0, 0] == 0.25 and mass[0, 3] == 0.25
+    assert mass[1, 1] == 0.25 and mass[1, 2] == 0.25
 
 
 def test_joint_unassigned_point_error():
@@ -219,21 +221,30 @@ def test_joint_unassigned_point_error():
         joint_from_encoder(u4, Encoder(np.array([0, 0, 1]), 2))
 
 
+def test_joint_code_range_guard():
+    # a duck-typed encoder skips Encoder's own check; a -1 code must not
+    # write into the last row
+    u4 = builtin_source("u4")
+    enc = types.SimpleNamespace(assignment=np.array([-1, 0, 0, 0]), K=2)
+    with pytest.raises(ValueError, match=re.escape("code index out of range [0, 2)")):
+        joint_from_encoder(u4, enc)
+
+
 def test_conditional_examples():
     u4 = builtin_source("u4")
-    j = joint_from_encoder(u4, Encoder(np.array([0, 0, 1, 1]), 2))
-    c0 = conditional_x_given_z(j, 0)
+    mass = joint_from_encoder(u4, Encoder(np.array([0, 0, 1, 1]), 2))
+    c0 = conditional_x_given_z(u4, mass, 0)
     assert c0.points.ravel().tolist() == [0.0, 1.0]
     assert c0.probs.tolist() == [0.5, 0.5]
 
-    j1 = joint_from_encoder(u4, Encoder(np.zeros(4, dtype=int), 1))
-    c = conditional_x_given_z(j1, 0)
+    mass1 = joint_from_encoder(u4, Encoder(np.zeros(4, dtype=int), 1))
+    c = conditional_x_given_z(u4, mass1, 0)
     assert np.array_equal(c.points, u4.points)
     assert np.array_equal(c.probs, u4.probs)
 
 
 def test_conditional_zero_mass_cell_error():
     u4 = builtin_source("u4")
-    j = joint_from_encoder(u4, Encoder(np.zeros(4, dtype=int), 2))
+    mass = joint_from_encoder(u4, Encoder(np.zeros(4, dtype=int), 2))
     with pytest.raises(ValueError, match="zero-mass cell"):
-        conditional_x_given_z(j, 1)
+        conditional_x_given_z(u4, mass, 1)
