@@ -239,17 +239,23 @@ def _tol(text: str) -> float:
     return v
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(method: bool) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--source", default="builtin:u4",
                         help="builtin:{u2,u4,gauss33} or path to a JSON source spec")
     common.add_argument("--rate", type=_rate, default=1, help="rate in bits; K = 2^rate")
-    common.add_argument("--method", choices=("exhaustive", "lloyd"), default="exhaustive",
-                        help="codec construction")
+    if method:  # verify always certifies the exact search
+        common.add_argument("--method", choices=("exhaustive", "lloyd"), default="exhaustive",
+                            help="codec construction")
     common.add_argument("--seed", type=_seed, default=0, help="64-bit unsigned seed")
     common.add_argument("--tol", type=_tol, default=None,
                         help="training stop tolerance / verify relative tolerance")
     common.add_argument("--out", default=None, help="write the artifact here instead of stdout")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common(method=True)
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated ascending penalty weights")
     p.set_defaults(handler=cmd_theorem2)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[_common(method=False)],
                        help="run the full invariant suite; exit 0 iff every check passes")
     p.set_defaults(handler=cmd_verify)
 

@@ -292,33 +292,62 @@ def _interval_dp(source, K):
     return np.searchsorted(breaks, np.arange(n), side="right")
 
 
+def _first_occurrence_blocks(n, K, rows):
+    """Every labeling of range(n) onto exactly K codes by first occurrence, in
+    lexicographic order and in blocks of at most `rows` rows.
+
+    Point 0 has code 0 and each new cell takes the next free code, which makes
+    this a partition's lexicographically smallest labeling: each partition into
+    K cells comes once, S(n, K) rows against the K^n labeled assignments.
+    """
+    if K == 1:  # one labeling; no need to grow it a point at a time
+        yield np.zeros((1, n), dtype=np.int64)
+        return
+    # heads of n - t points, then each head's tail as one block of <= K^t rows
+    t = 0
+    while t < n - 1 and K ** (t + 1) <= rows:
+        t += 1
+
+    def grow(a, top, start, stop):
+        # fill columns start..stop-1 with codes in increasing order under each
+        # row, which keeps the rows lexicographic; drop prefixes too short to
+        # still reach code K - 1
+        for i in range(start, stop):
+            z = np.tile(np.arange(K), len(a))
+            prev = np.repeat(top, K)
+            top = np.maximum(prev, z)
+            keep = np.flatnonzero((z <= prev + 1) & (top >= K - n + i))
+            a, top = a[keep // K], top[keep]
+            a[:, i] = z[keep]
+        return a, top
+
+    heads, tops = grow(np.zeros((1, n), dtype=np.int64), np.zeros(1, dtype=np.int64), 1, n - t)
+    for head, top in zip(heads, tops):
+        yield grow(head[None, :], top[None], n - t, n)[0]
+
+
 def _exhaustive_full(source, K):
     n = source.n
     pts, probs = source.points, source.probs
     # per point: p, p·x, p·‖x‖², so one product gives every cell's moments
     moments = np.column_stack([probs, probs[:, None] * pts, probs * np.einsum("id,id->i", pts, pts)])
-    total = K**n
-    chunk = max(1, min(total, 4_000_000 // max(1, n * K)))
     codes = np.arange(K)
     best_mse = np.inf
     best_assign = None
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        # base-K digits of idx, most significant first; unlike np.unravel_index
-        # this has no 64-dimension limit, which K = 1 reaches at n > 64
-        assigns = idx[:, None] // K ** np.arange(n - 1, -1, -1, dtype=np.int64) % K
-        onehot = (assigns[:, None, :] == codes[None, :, None]).astype(np.float64)
-        cells = onehot @ moments  # (b, K, d + 2)
+    # A partition's score below does not depend on how its cells are labeled,
+    # and its first-occurrence labeling is its smallest one, so the first
+    # minimum over these rows is the first minimum over all K^n assignments.
+    for assigns in _first_occurrence_blocks(n, K, max(1, 4_000_000 // (n * K))):
+        # (b, K, n) one-hot @ (n, d + 2) moments; the one-hot is a temporary,
+        # freed before the next block grows
+        cells = (assigns[:, None, :] == codes[None, :, None]).astype(np.float64) @ moments
         m, s = cells[..., 0], cells[..., 1:-1]
         # Cell MSE Σp‖x‖² − ‖Σpx‖²/m, as in the interval DP: summing per-cell
-        # terms keeps a tiny cell's error from cancelling against E‖X‖². An
-        # empty cell scores +inf: with K <= n distinct points some optimum
-        # fills every cell.
+        # terms keeps a tiny cell's error from cancelling against E‖X‖². A
+        # zero-mass cell scores +inf.
         with np.errstate(divide="ignore", invalid="ignore"):
             cell_mse = np.where(m > 0, cells[..., -1] - np.einsum("bkd,bkd->bk", s, s) / m, np.inf)
-        # summing cells in sorted order makes relabeled partitions tie bit-exactly,
-        # so the first minimum really is the lexicographically smallest assignment
+        # summing cells in sorted order makes relabeled partitions tie bit-exactly
         cell_mse.sort(axis=1)
         mse = cell_mse.sum(axis=1)
         j = int(np.argmin(mse))
@@ -335,8 +364,9 @@ def exhaustive_optimal_encoder(
 
     Both searches are exact. A 1-D source takes an O(K·n²) dynamic program
     over interval cells, which some optimal scalar quantizer has. A source in
-    d >= 2 has all K^n assignments scored while K^n <= ENUMERATION_CAP and is
-    refused above it. Exact float ties go to the smallest assignment.
+    d >= 2 has each partition into K cells scored once while
+    K^n <= ENUMERATION_CAP and is refused above it. Exact float ties go to the
+    smallest assignment.
     """
     _check_code_count(K, source.n)
     _require_finite_mse(source)

@@ -324,6 +324,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["oracle", "--perception", "-0.1"],
         ["oracle", "--perception", "nan"],
         ["oracle", "--perception", "inf"],
+        ["verify", "--method", "lloyd"],
         ["sweep", "--out", str(tmp_path / "no_dir" / "x.csv")],
         # squared coordinates overflow: no encoder has a finite MSE, whether
         # all K^n assignments or only interval partitions are searched, or

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,65 @@ def test_exhaustive_cap_error_multidim():
 def test_codec_json_partial_and_errors():
     enc, _, _ = exhaustive_optimal_encoder(U4, 2)
     assert codec_to_json(enc) == {"K": 2, "assignment": [0, 0, 1, 1]}
+
+
+def _stirling2(n, k):
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_first_occurrence_blocks(n):
+    for k in range(1, min(n, 5) + 1):
+        every = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.int64)
+        top = np.maximum.accumulate(every, axis=1)
+        first = ((every[:, 0] == 0) & (every[:, 1:] <= top[:, :-1] + 1).all(axis=1)
+                 & (top[:, -1] == k - 1))
+        want = every[first]  # product order is lexicographic
+        assert len(want) == _stirling2(n, k)
+        for rows in (1, 2, 5, 64, 10**6):
+            blocks = list(codec._first_occurrence_blocks(n, k, rows))
+            assert all(1 <= len(b) <= rows for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), want), (n, k, rows)
+
+
+def _first_minimum_over_all_labelings(src, k):
+    # the search's score, taken over all K^n labelings in product order
+    moments = np.column_stack([src.probs, src.probs[:, None] * src.points,
+                               src.probs * np.einsum("id,id->i", src.points, src.points)])
+    every = np.array(list(itertools.product(range(k), repeat=src.n)), dtype=np.int64)
+    scores = []
+    for assigns in np.array_split(every, max(1, len(every) // 50_000)):
+        cells = (assigns[:, None, :] == np.arange(k)[None, :, None]).astype(np.float64) @ moments
+        m, s = cells[..., 0], cells[..., 1:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cell_mse = np.where(m > 0, cells[..., -1] - np.einsum("bkd,bkd->bk", s, s) / m, np.inf)
+        cell_mse.sort(axis=1)
+        scores.append(cell_mse.sum(axis=1))
+    return every[int(np.argmin(np.concatenate(scores)))]
+
+
+_HEXAGON = [[np.cos(a), np.sin(a)] for a in np.arange(6) * np.pi / 3] + [[0.0, 0.0]]
+
+
+@pytest.mark.parametrize("points, probs", [
+    (_HEXAGON, np.full(7, 1 / 7)),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.full(4, 0.25)),
+    (list(itertools.product([0.0, 1.0], repeat=3)), np.full(8, 1 / 8)),
+    (list(itertools.product([0.0, 1.0, 2.0], repeat=2)), np.full(9, 1 / 9)),
+    ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [0.5, 0.5, 1e-300]),
+], ids=["hexagon-centre", "unit-square", "unit-cube", "lattice-3x3", "tiny-mass"])
+@pytest.mark.parametrize("rows", [None, 3], ids=["default-blocks", "3-row-blocks"])
+def test_partition_search_matches_all_labelings(monkeypatch, points, probs, rows):
+    # exact ties between relabelings and between mirror partitions: only a walk
+    # in lexicographic order keeps the first minimum of all K^n labelings
+    if rows is not None:
+        blocks = codec._first_occurrence_blocks
+        monkeypatch.setattr(codec, "_first_occurrence_blocks",
+                            lambda n, k, _: blocks(n, k, rows))
+    src = make_distribution(points, probs)
+    for k in range(1, min(src.n, 4) + 1):
+        want = _first_minimum_over_all_labelings(src, k)
+        assert codec._exhaustive_full(src, k).tolist() == want.tolist(), k
