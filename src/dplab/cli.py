@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0:1:0.05", help="grid as a:b:step, inclusive")
     p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("oracle", parents=[common, fmt],
+    p = sub.add_parser("oracle", parents=[common],
                        help="exact minimum distortion at a perception budget")
     p.add_argument("--perception", type=float, required=True, help="perception budget P")
     p.add_argument("--dump-plan", action="store_true",

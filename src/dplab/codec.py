@@ -27,6 +27,9 @@ from .distcore import (
 )
 
 ENUMERATION_CAP = 10**7
+# entries per block of the exact searches' array work: score rows are grouped
+# so that no block temporary exceeds this many elements
+BLOCK_ELEMENTS = 1 << 18
 LLOYD_MAX_ITER = 1000
 
 
@@ -178,9 +181,11 @@ def lloyd_train(
     from the support quantiles (one draw per probability stratum). Points
     equidistant to two centroids go to the lower code index; an empty cell is
     repaired by stealing the point currently farthest from its own centroid.
-    Stops when the relative MSE improvement drops to tol or after
-    LLOYD_MAX_ITER iterations. The per-iteration MSE sequence (nonincreasing)
-    is appended to mse_trace when a list is supplied.
+    Each iteration recomputes only the centroids of cells that gained or lost
+    a point; a cell whose members did not move keeps its centroid, the same
+    value a recomputation would give. Stops when the relative MSE improvement
+    drops to tol or after LLOYD_MAX_ITER iterations. The per-iteration MSE
+    sequence (nonincreasing) is appended to mse_trace when a list is supplied.
     """
     n = source.n
     _check_code_count(K, n)
@@ -202,24 +207,31 @@ def lloyd_train(
     centroids = pts[np.array(init)]
 
     assign = np.zeros(n, dtype=np.int64)
+    prev_assign = None
     prev_mse = None
     for _ in range(LLOYD_MAX_ITER):
         assign = np.argmin(sq_dists(pts, centroids), axis=1)  # first minimum -> lower code wins ties
 
         counts = np.bincount(assign, minlength=K)
-        for z in range(K):
-            if counts[z] == 0:
-                own = np.einsum("id,id->i", pts - centroids[assign], pts - centroids[assign])
-                own[counts[assign] <= 1] = -np.inf  # never empty another cell
-                i = int(np.argmax(own))
-                counts[assign[i]] -= 1
-                assign[i] = z
-                counts[z] += 1
+        # a repair never empties another cell, so the empty cells are known up front
+        for z in np.flatnonzero(counts == 0):
+            own = np.einsum("id,id->i", pts - centroids[assign], pts - centroids[assign])
+            own[counts[assign] <= 1] = -np.inf  # never empty another cell
+            i = int(np.argmax(own))
+            counts[assign[i]] -= 1
+            assign[i] = z
+            counts[z] += 1
 
-        for z in range(K):
+        if prev_assign is None:  # the initial centroids are support points, not means
+            stale = range(K)
+        else:
+            moved = assign != prev_assign
+            stale = np.union1d(assign[moved], prev_assign[moved])
+        for z in stale:
             sel = assign == z
             w = probs[sel]
             centroids[z] = (w @ pts[sel]) / w.sum()
+        prev_assign = assign
 
         diff = pts - centroids[assign]
         mse = float(np.einsum("i,id,id->", probs, diff, diff))
@@ -262,25 +274,37 @@ def _interval_dp(source, K):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(m > 0, (pref_xx[j] - pref_xx[i]) - s * s / m, 0.0)
 
+    def row_blocks(rows, width):
+        # Each stage scores a grid of rows by at most `width` columns, in row
+        # blocks of at most BLOCK_ELEMENTS entries: the grid-sized temporaries
+        # of cell() and _sum_bound stay a few MB at any n.
+        step = max(1, BLOCK_ELEMENTS // width)
+        for k in range(0, len(rows), step):
+            yield rows[k:k + step, None]
+
     # best[j]: least MSE of points [0, j) in t cells. Rounding is monotone, so
-    # extending the least prefix sum gives the least total.
+    # extending the least prefix sum gives the least total. Row j of stage t
+    # scores every last break i < j at once; entries i >= j are masked out.
     best = np.full(n + 1, np.inf)
     best[1:] = cell(0, np.arange(1, n + 1))
     for t in range(2, K + 1):
         prev, best = best, np.full(n + 1, np.inf)
-        for j in [n] if t == K else range(t, n - K + t + 1):
-            i = np.arange(t - 1, j)
-            best[j] = (prev[i] + cell(i, j)).min()
+        js = np.array([n]) if t == K else np.arange(t, n - K + t + 1)
+        for j in row_blocks(js, js[-1] - t + 1):
+            i = np.arange(t - 1, j[-1, 0])
+            best[j[:, 0]] = np.where(i < j, prev[i] + cell(i, j), np.inf).min(axis=1)
     # A tied tuple may pass through a larger prefix sum that rounding absorbs
     # later, so ties are settled on caps[r, b]: the largest running sum at
-    # break b from which r more cells still end on the least total.
+    # break b from which r more cells still end on the least total. Row b of
+    # stage r bounds every next break j > b at once.
     caps = np.full((K + 1, n + 1), -np.inf)
     b = np.arange(K - 1, n)
     caps[1, b] = _sum_bound(cell(b, n), best[n])
     for r in range(2, K):
-        for b in range(K - r, n - r + 1):
-            j = np.arange(b + 1, n - r + 2)
-            caps[r, b] = _sum_bound(cell(b, j), caps[r - 1, j]).max()
+        for b in row_blocks(np.arange(K - r, n - r + 1), n - K + 1):
+            j = np.arange(b[0, 0] + 1, n - r + 2)
+            bound = _sum_bound(cell(b, j), caps[r - 1, j])
+            caps[r, b[:, 0]] = np.where(j > b, bound, -np.inf).max(axis=1)
     # Take each break as late as a tie allows, summing left to right.
     b, v, breaks = 0, 0.0, []
     for r in range(K - 1, 0, -1):
@@ -337,7 +361,7 @@ def _exhaustive_full(source, K):
     # A partition's score below does not depend on how its cells are labeled,
     # and its first-occurrence labeling is its smallest one, so the first
     # minimum over these rows is the first minimum over all K^n assignments.
-    for assigns in _first_occurrence_blocks(n, K, max(1, 4_000_000 // (n * K))):
+    for assigns in _first_occurrence_blocks(n, K, max(1, BLOCK_ELEMENTS // (n * K))):
         # (b, K, n) one-hot @ (n, d + 2) moments; the one-hot is a temporary,
         # freed before the next block grows
         cells = (assigns[:, None, :] == codes[None, :, None]).astype(np.float64) @ moments

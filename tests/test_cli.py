@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -172,7 +173,7 @@ def test_lp_artifacts_golden(capsys):
     assert main(["theorem2", "--source", "builtin:gauss33", "--rate", "1"]) == 0
     assert capsys.readouterr().out == THEOREM2_GAUSS33_GOLDEN
     assert main(["oracle", "--source", "builtin:gauss33", "--rate", "2",
-                 "--perception", "0.05", "--format", "json"]) == 0
+                 "--perception", "0.05"]) == 0
     assert capsys.readouterr().out == ORACLE_GAUSS33_GOLDEN
 
 
@@ -181,6 +182,20 @@ def test_codec_artifacts_golden(capsys):
     assert capsys.readouterr().out == MMSE_GAUSS33_GOLDEN
     assert main(["perceptual", "--source", "builtin:u4", "--rate", "1"]) == 0
     assert capsys.readouterr().out == PERCEPTUAL_U4_GOLDEN
+
+
+@pytest.mark.parametrize("argv, n, sha256", [
+    (["mmse", "--method", "lloyd", "--rate", "6", "--seed", "3"], 512,
+     "964559b01896f5700a46caa3904a7ad128cd9fed13e9db5300eeadbb9f2d1b65"),
+    (["mmse", "--rate", "4"], 200,
+     "07d792245844b818ba8e1f13030726f358d827d6e716d026f55b00fde96979b5"),
+], ids=["lloyd-grid512-r6", "exhaustive-grid200-r4"])
+def test_codec_stdout_sha256(capsys, tmp_path, argv, n, sha256):
+    # Lloyd at K = 64 and the interval DP at K = 16: the full JSON bytes,
+    # pinned by digest
+    src = _grid_source(tmp_path / f"grid{n}.json", n=n)
+    assert main([*argv, "--source", src]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 def test_sweep_json_rows(capsys):
@@ -229,7 +244,7 @@ def test_perceptual_round_trip(tmp_path):
 
 
 def test_oracle_payload(capsys):
-    assert main(["oracle", "--perception", "0.0625", "--format", "json"]) == 0
+    assert main(["oracle", "--perception", "0.0625"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["perception"] == 0.0625
     assert abs(payload["D_star"] - 0.3125) <= 1e-8
@@ -242,8 +257,7 @@ def test_oracle_payload(capsys):
 
 
 def test_oracle_dump_plan(capsys):
-    assert main(["oracle", "--perception", "0.0625", "--dump-plan",
-                 "--format", "json"]) == 0
+    assert main(["oracle", "--perception", "0.0625", "--dump-plan"]) == 0
     payload = json.loads(capsys.readouterr().out)
     plan = payload["plan"]
     assert plan["order"] == 2
@@ -324,6 +338,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["oracle", "--perception", "-0.1"],
         ["oracle", "--perception", "nan"],
         ["oracle", "--perception", "inf"],
+        ["oracle", "--perception", "0.1", "--format", "csv"],
         ["verify", "--method", "lloyd"],
         ["sweep", "--out", str(tmp_path / "no_dir" / "x.csv")],
         # squared coordinates overflow: no encoder has a finite MSE, whether

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,3 +373,179 @@ def test_partition_search_matches_all_labelings(monkeypatch, points, probs, rows
     for k in range(1, min(src.n, 4) + 1):
         want = _first_minimum_over_all_labelings(src, k)
         assert codec._exhaustive_full(src, k).tolist() == want.tolist(), k
+
+
+def _lloyd_all_cells(source, K, seed, tol=1e-10, mse_trace=None, repairs=None):
+    # Reference Lloyd: every iteration visits every code for the repair and
+    # recomputes every centroid, one cell at a time. `repairs` collects the
+    # repaired codes.
+    n = source.n
+    pts, probs = source.points, source.probs
+    rng = np.random.default_rng(seed)
+    levels = (np.arange(K) + rng.random(K)) / K
+    raw = np.searchsorted(np.cumsum(probs), levels, side="left")
+    used: set = set()
+    init = []
+    for i in raw:
+        i = int(min(i, n - 1))
+        while i in used:
+            i = (i + 1) % n
+        used.add(i)
+        init.append(i)
+    centroids = pts[np.array(init)]
+    prev_mse = None
+    for _ in range(codec.LLOYD_MAX_ITER):
+        assign = np.argmin(codec.sq_dists(pts, centroids), axis=1)
+        counts = np.bincount(assign, minlength=K)
+        for z in range(K):
+            if counts[z] == 0:
+                own = np.einsum("id,id->i", pts - centroids[assign], pts - centroids[assign])
+                own[counts[assign] <= 1] = -np.inf
+                i = int(np.argmax(own))
+                counts[assign[i]] -= 1
+                assign[i] = z
+                counts[z] += 1
+                if repairs is not None:
+                    repairs.append(z)
+        for z in range(K):
+            sel = assign == z
+            w = probs[sel]
+            centroids[z] = (w @ pts[sel]) / w.sum()
+        diff = pts - centroids[assign]
+        mse = float(np.einsum("i,id,id->", probs, diff, diff))
+        if mse_trace is not None:
+            mse_trace.append(mse)
+        if prev_mse is not None and prev_mse - mse <= tol * max(prev_mse, 1e-300):
+            break
+        prev_mse = mse
+    return assign, codec.mmse_decoder_for(source, Encoder(assign, K)).table
+
+
+def _assert_lloyd_matches_all_cells(src, k, seed, repairs=None):
+    trace, want_trace = [], []
+    enc, gd = lloyd_train(src, k, seed=seed, mse_trace=trace)
+    want, table = _lloyd_all_cells(src, k, seed, mse_trace=want_trace, repairs=repairs)
+    assert enc.assignment.tobytes() == want.tobytes(), (k, seed)
+    assert gd.table.tobytes() == table.tobytes(), (k, seed)
+    assert repr(trace) == repr(want_trace), (k, seed)
+
+
+@pytest.mark.parametrize("k", [16, 32, 64])
+def test_lloyd_keeps_unmoved_centroids_bit_exact(k):
+    src = gaussian_grid(0.3, 1.7, 512, 4.0)
+    for seed in range(4):
+        _assert_lloyd_matches_all_cells(src, k, seed)
+
+
+def test_lloyd_repair_visits_only_empty_cells_bit_exact():
+    # Squared distances under 2^-1074 round to 0, so points this close tie
+    # with every centroid near them, go to the lowest code and leave the
+    # other cells empty: every run below repairs at least one cell.
+    rng = np.random.default_rng(7)
+    tiny = 2.0**-550
+    sources = [
+        make_distribution(rng.normal(0, 1, 9) * tiny, np.full(9, 1 / 9)),
+        make_distribution(np.concatenate([rng.normal(0, tiny, 5), 1 + rng.normal(0, 1e-3, 4)]),
+                          np.full(9, 1 / 9)),
+        make_distribution(np.arange(10.0) * tiny, np.full(10, 0.1)),
+        make_distribution([[i * tiny, j * tiny] for i in range(3) for j in range(3)],
+                          np.full(9, 1 / 9)),
+        make_distribution([[i * tiny, j * 1.0] for i in range(3) for j in range(2)],
+                          np.full(6, 1 / 6)),
+    ]
+    for src in sources:
+        for k in (src.n, src.n - 1):
+            for seed in range(3):
+                repairs: list = []
+                _assert_lloyd_matches_all_cells(src, k, seed, repairs)
+                assert repairs, (src.points.ravel().tolist(), k, seed)
+
+
+def test_lloyd_planar_and_clustered_bit_exact():
+    rng = np.random.default_rng(8)
+    for d, n in ((2, 40), (2, 90), (3, 50)):
+        w = rng.random(n) + 0.05
+        src = make_distribution(rng.normal(size=(n, d)), w / w.sum())
+        for k in (2, 5, 8, 16):
+            _assert_lloyd_matches_all_cells(src, k, seed=d * n + k)
+    pts = np.concatenate([rng.normal(0, 0.05, 30), rng.normal(5, 0.05, 20), [12.0, -7.0]])
+    src = make_distribution(pts, np.full(52, 1 / 52))
+    for k in (4, 8, 26, 52):
+        for seed in range(3):
+            _assert_lloyd_matches_all_cells(src, k, seed)
+
+
+def _interval_dp_per_row(source, K):
+    # Reference interval DP: one array op per last break j of each stage and
+    # per break b of each cap stage
+    x, p, n = source.points[:, 0], source.probs, source.n
+    pref_p, pref_x, pref_xx = (np.concatenate([[0.0], np.cumsum(v)])
+                               for v in (p, p * x, p * x * x))
+
+    def cell(i, j):
+        s, m = pref_x[j] - pref_x[i], pref_p[j] - pref_p[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(m > 0, (pref_xx[j] - pref_xx[i]) - s * s / m, 0.0)
+
+    best = np.full(n + 1, np.inf)
+    best[1:] = cell(0, np.arange(1, n + 1))
+    for t in range(2, K + 1):
+        prev, best = best, np.full(n + 1, np.inf)
+        for j in [n] if t == K else range(t, n - K + t + 1):
+            i = np.arange(t - 1, j)
+            best[j] = (prev[i] + cell(i, j)).min()
+    caps = np.full((K + 1, n + 1), -np.inf)
+    b = np.arange(K - 1, n)
+    caps[1, b] = codec._sum_bound(cell(b, n), best[n])
+    for r in range(2, K):
+        for b in range(K - r, n - r + 1):
+            j = np.arange(b + 1, n - r + 2)
+            caps[r, b] = codec._sum_bound(cell(b, j), caps[r - 1, j]).max()
+    b, v, breaks = 0, 0.0, []
+    for r in range(K - 1, 0, -1):
+        j = np.arange(b + 1, n - r + 1)
+        w = v + cell(b, j)
+        k = np.flatnonzero(w <= caps[r, j])[-1]
+        b, v = int(j[k]), w[k]
+        breaks.append(b)
+    return np.searchsorted(breaks, np.arange(n), side="right")
+
+
+def _dp_cases():
+    rng = np.random.default_rng(9)
+    yield "gauss33", builtin_source("gauss33"), range(1, 34)
+    yield "tiny-mass", make_distribution([0.0, 1.0, 2.0], [0.5, 0.5, 1e-300]), (1, 2, 3)
+    yield "tail-mass", gaussian_grid(0.0, 1.0, 60, 10.0), (2, 3, 10, 30)
+    for n in (2, 3, 5, 8, 13, 21, 40, 64, 100, 200):
+        ks = {min(n, k) for k in (1, 2, 3, 4, 8, 16)}
+        if n <= 64:  # K near n/2 costs the per-row loops O(n^2) calls
+            ks |= {max(1, n // 2), n - 1, n}
+        # uniform grids tie exactly between mirror images; the 0.1 steps tie
+        # only through prefix sums absorbed by rounding
+        yield f"uniform{n}", make_distribution(np.arange(float(n)), np.full(n, 1 / n)), sorted(ks)
+        yield f"tenths{n}", make_distribution(np.arange(n) * 0.1, np.full(n, 1 / n)), sorted(ks)
+        w = rng.random(n) + 0.01
+        yield f"random{n}", make_distribution(rng.normal(size=n), w / w.sum()), sorted(ks)
+
+
+def test_interval_dp_stage_arrays_bit_exact(monkeypatch):
+    # the default blocks and, on small sources, blocks of one and a few rows:
+    # the seams between row blocks must not matter
+    blocks = (codec.BLOCK_ELEMENTS, 1, 7)
+    for name, src, ks in _dp_cases():
+        for k in ks:
+            want = _interval_dp_per_row(src, k).tobytes()
+            for block in blocks[:1 if src.n > 21 else 3]:
+                monkeypatch.setattr(codec, "BLOCK_ELEMENTS", block)
+                assert codec._interval_dp(src, k).tobytes() == want, (name, k, block)
+
+
+def test_interval_dp_block_bound_memory():
+    # one unblocked 2000 x 2000 stage grid held about 190 MB of temporaries
+    tracemalloc.start()
+    try:
+        exhaustive_optimal_encoder(gaussian_grid(0, 1, 2000, 4), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak
