@@ -19,10 +19,10 @@ from dplab import (
     builtin_source,
     constrained_oracle,
     default_oracle_support,
-    evaluate_point,
     exhaustive_optimal_encoder,
     perceptual_decoder_for,
     predicted_distortion,
+    sweep,
     universal_encoder_check,
 )
 
@@ -32,7 +32,7 @@ def main() -> None:
     k = 2
     enc, gd, d_d = exhaustive_optimal_encoder(source, k)
     gp = perceptual_decoder_for(source, enc)
-    p_d = evaluate_point(source, enc, gd, gp, 1.0).p_d
+    p_d = sweep(source, enc, gd, gp, [1.0])[0].p_d
     sup = default_oracle_support(source, gd, gp)
     print(f"source: u4, rate 1, D_d = {d_d:.6f}, P_d = {p_d:.6f}")
     print(f"oracle output support: {sup.shape[0]} candidate points")

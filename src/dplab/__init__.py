@@ -43,7 +43,6 @@ from .tradeoff import (
     constrained_oracle,
     default_oracle_support,
     dp_derivatives,
-    evaluate_point,
     interpolate,
     predicted_distortion,
     predicted_perception,

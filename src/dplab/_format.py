@@ -10,18 +10,10 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
-def fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(v if isinstance(v, str) else _scalar(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

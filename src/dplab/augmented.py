@@ -26,10 +26,11 @@ from .codec import (
     DeterministicDecoder,
     Encoder,
     StochasticDecoder,
+    _filled_cells,
     check_zd_xd_bijective,
     distortion,
 )
-from .distcore import DiscreteDistribution, joint_from_encoder, make_distribution, sq_dists
+from .distcore import DiscreteDistribution, as_points, joint_from_encoder, make_distribution, sq_dists
 from .transport import SIZE_CAP, w1_exact
 LP_VARIABLE_CAP = 2_000_000
 INDETERMINATE_BAND = 1e-9
@@ -59,16 +60,10 @@ def _pair_laws(source: DiscreteDistribution, enc: Encoder, tags: np.ndarray,
     pairs.
     """
     pz = joint_from_encoder(source, enc).sum(axis=1)
-    blocks, masses = [], []
-    for z in range(enc.K):
-        if pz[z] <= 0:
-            continue
-        row = dec.table[z]
-        mask = row > 0
-        reps = np.repeat(tags[z][None, :], int(mask.sum()), axis=0)
-        blocks.append(np.hstack([dec.out_support[mask], reps]))
-        masses.append(pz[z] * row[mask])
-    out_joint = make_distribution(np.vstack(blocks), np.concatenate(masses))
+    # one atom per positive entry of a row whose cell carries mass, row-major
+    z, m = np.nonzero((dec.table > 0) & (pz > 0)[:, None])
+    out_joint = make_distribution(np.hstack([dec.out_support[m], tags[z]]),
+                                  pz[z] * dec.table[z, m])
     src_joint = make_distribution(
         np.hstack([source.points, tags[enc.assignment]]), source.probs
     )
@@ -93,10 +88,6 @@ def augmented_objective(source: DiscreteDistribution, enc: Encoder, gd: Determin
     return w1_exact(out_joint, src_joint).cost + lam * _mean_deviation(source, enc, gd, dec)
 
 
-def _flag_for(lam: float) -> str:
-    return "indeterminate" if abs(lam - 1.0) <= INDETERMINATE_BAND else "ok"
-
-
 def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
                     lam: float, out_support=None) -> AugmentedSolution:
     """Exact minimizer of the augmented objective over stochastic decoders.
@@ -113,18 +104,13 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
     # the W1 gap of the solution couples n source atoms, so refuse before the LP
     if source.n > SIZE_CAP:
         raise ValueError(f"size cap exceeded: {source.n} support points > {SIZE_CAP}")
-    pz = joint_from_encoder(source, enc).sum(axis=1)
-    if np.any(pz <= 0):
-        raise ValueError(f"empty cell {int(np.argmin(pz))}")
+    _, pz = _filled_cells(source, enc)
 
     required = np.unique(np.vstack([source.points, gd.table]), axis=0)
     if out_support is None:
         sup = required
     else:
-        sup = np.asarray(out_support, dtype=np.float64)
-        if sup.ndim == 1:
-            sup = sup.reshape(-1, 1)
-        sup = np.unique(sup, axis=0)
+        sup = np.unique(as_points(out_support), axis=0)
         merged = np.unique(np.vstack([sup, required]), axis=0)
         if merged.shape[0] != sup.shape[0]:
             raise ValueError("out_support must contain supp(X) and the gd table")
@@ -179,18 +165,18 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
         mean_dev=mean_dev,
         mse=distortion(source, enc, dec),
         objective=w1_gap + lam * mean_dev,
-        flag=_flag_for(lam),
+        flag="indeterminate" if abs(lam - 1.0) <= INDETERMINATE_BAND else "ok",
     )
 
 
 def phase_sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
-                lambdas: Sequence[float], out_support=None) -> list:
+                lambdas: Sequence[float]) -> list:
     """One AugmentedSolution per lambda, in grid order; lambda=1 rows are
     flagged indeterminate rather than asserted to either phase."""
     lams = [float(v) for v in lambdas]
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda grid must be sorted ascending")
-    return [solve_augmented(source, enc, gd, v, out_support) for v in lams]
+    return [solve_augmented(source, enc, gd, v) for v in lams]
 
 
 def phase_to_csv(solutions: Sequence[AugmentedSolution]) -> str:

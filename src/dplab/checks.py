@@ -366,8 +366,7 @@ def _check_optimal_pair_structure(ctx: _Ctx) -> CheckResult:
     closed_ok = True
     detail_extra = ""
     if ctx.source.dim == 1:
-        out_law = make_distribution(
-            ctx.gd.table, joint_from_encoder(ctx.source, ctx.enc).sum(axis=1))
+        out_law = decoder_output_dist(ctx.source, ctx.enc, ctx.gd)
         closed = w_1d_closed_form(ctx.source, out_law, 2)
         closed_gap = abs(closed - ctx.p_d)
         closed_ok = closed_gap <= 1e-10

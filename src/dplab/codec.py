@@ -21,6 +21,7 @@ from .distcore import (
     MASS_TOL,
     DiscreteDistribution,
     _readonly,
+    as_points,
     joint_from_encoder,
     make_distribution,
     sq_dists,
@@ -58,9 +59,7 @@ class DeterministicDecoder:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        if t.ndim == 1:
-            t = t.reshape(-1, 1)
+        t = as_points(self.table)
         if t.ndim != 2 or not np.all(np.isfinite(t)):
             raise ValueError("decoder table must be a finite K-by-d matrix")
         object.__setattr__(self, "table", _readonly(t))
@@ -78,9 +77,7 @@ class StochasticDecoder:
     table: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.out_support, dtype=np.float64)
-        if s.ndim == 1:
-            s = s.reshape(-1, 1)
+        s = as_points(self.out_support)
         t = np.asarray(self.table, dtype=np.float64)
         if s.ndim != 2 or t.ndim != 2 or t.shape[1] != s.shape[0]:
             raise ValueError("table columns must align with out_support")
@@ -117,12 +114,18 @@ def _require_finite_mse(source: DiscreteDistribution) -> None:
         raise ValueError("no encoder has a finite MSE: E‖X‖² overflows float64")
 
 
-def mmse_decoder_for(source: DiscreteDistribution, enc: Encoder) -> DeterministicDecoder:
-    """Conditional-mean decoder: table[z] = E[X | Z=z]."""
+def _filled_cells(source: DiscreteDistribution, enc: Encoder) -> Tuple[np.ndarray, np.ndarray]:
+    """(joint mass, p(z)) of a code; a cell with no mass is an error."""
     mass = joint_from_encoder(source, enc)
     pz = mass.sum(axis=1)
     if np.any(pz <= 0):
         raise ValueError(f"empty cell {int(np.argmin(pz))}")
+    return mass, pz
+
+
+def mmse_decoder_for(source: DiscreteDistribution, enc: Encoder) -> DeterministicDecoder:
+    """Conditional-mean decoder: table[z] = E[X | Z=z]."""
+    mass, pz = _filled_cells(source, enc)
     table = (mass @ source.points) / pz[:, None]
     return DeterministicDecoder(table)
 
@@ -133,10 +136,7 @@ def perceptual_decoder_for(source: DiscreteDistribution, enc: Encoder) -> Stocha
     Its output marginal is the source law itself, which is what makes it the
     perfect-perception endpoint.
     """
-    mass = joint_from_encoder(source, enc)
-    pz = mass.sum(axis=1)
-    if np.any(pz <= 0):
-        raise ValueError(f"empty cell {int(np.argmin(pz))}")
+    mass, pz = _filled_cells(source, enc)
     return StochasticDecoder(source.points.copy(), mass / pz[:, None])
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -26,6 +25,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def as_points(a) -> np.ndarray:
+    """float64 point array; a flat array becomes one column."""
+    a = np.asarray(a, dtype=np.float64)
+    return a.reshape(-1, 1) if a.ndim == 1 else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +64,8 @@ def make_distribution(points, probs) -> DiscreteDistribution:
     must be 1 within 1e-9; it is renormalized only if it drifts by more than
     1e-12, which makes a second application bit-identical to the first.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2:
+    pts = as_points(points)
+    if pts.ndim != 2 or pts.shape[1] == 0:
         raise ValueError("points must be scalars or same-dimension vectors")
     pr = np.asarray(probs, dtype=np.float64).reshape(-1)
     if pts.shape[0] != pr.shape[0]:
@@ -124,18 +127,14 @@ def _json_numbers(v, depth: int) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def source_from_json(spec: Union[dict, str]) -> DiscreteDistribution:
-    """Parse the JSON source spec.
+def source_from_json(spec: dict) -> DiscreteDistribution:
+    """Build a source from a parsed JSON source spec.
 
     Two forms are accepted:
       {"points": [[..], ..], "probs": [..]}        explicit support
       {"kind": "gaussian-grid", "mean": m, "std": s, "n": N, "halfwidth": w}
     Every numeric field must be a JSON number, and N must be integral.
     """
-    if isinstance(spec, str):
-        import json
-
-        spec = json.loads(spec)
     if not isinstance(spec, dict):
         raise ValueError("source spec must be a JSON object")
     if spec.get("kind") == "gaussian-grid":

@@ -35,7 +35,7 @@ from .codec import (
     mmse_decoder_for,
     perceptual_decoder_for,
 )
-from .distcore import DiscreteDistribution, joint_from_encoder, sq_dists
+from .distcore import DiscreteDistribution, as_points, joint_from_encoder, sq_dists
 from .transport import w2sq_exact
 
 SWEEP_COLUMNS = ("alpha", "D_measured", "P_measured", "D_predicted", "P_predicted", "D_d", "P_d")
@@ -75,21 +75,12 @@ def interpolate(gd: DeterministicDecoder, gp: StochasticDecoder, alpha: float) -
         raise ValueError(f"K mismatch: gd has {gd.K} rows, gp has {gp.K}")
     if gd.table.shape[1] != gp.out_support.shape[1]:
         raise ValueError("dimension mismatch between decoder tables")
-    blocks = []
-    weights = []
-    for z in range(gd.K):
-        mask = gp.table[z] > 0
-        blocks.append(alpha * gd.table[z][None, :] + (1.0 - alpha) * gp.out_support[mask])
-        weights.append(gp.table[z][mask])
-    big = np.vstack(blocks)
-    uniq, inverse = np.unique(big, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    # one atom per positive entry of gp, in row-major (code, column) order
+    z, m = np.nonzero(gp.table > 0)
+    atoms = alpha * gd.table[z] + (1.0 - alpha) * gp.out_support[m]
+    uniq, inverse = np.unique(atoms, axis=0, return_inverse=True)
     table = np.zeros((gd.K, uniq.shape[0]))
-    offset = 0
-    for z in range(gd.K):
-        w = weights[z]
-        np.add.at(table[z], inverse[offset:offset + w.shape[0]], w)
-        offset += w.shape[0]
+    np.add.at(table, (z, inverse.reshape(-1)), gp.table[z, m])
     return StochasticDecoder(uniq, table)
 
 
@@ -128,12 +119,6 @@ def dp_derivatives(alpha: float, d_d: float) -> Tuple[float, float]:
     if d_d <= 0:
         raise ValueError("D_d must be > 0")
     return alpha / (alpha - 1.0), 1.0 / (2.0 * (1.0 - alpha) ** 3 * d_d)
-
-
-def evaluate_point(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
-                   gp: StochasticDecoder, alpha: float) -> TradeoffPoint:
-    """Measure (D, P) of the realized decoder and pair with the predictions."""
-    return sweep(source, enc, gd, gp, [alpha])[0]
 
 
 def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
@@ -192,9 +177,7 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
     P of the source law.
     """
     check_budget(p_budget)
-    sup = np.asarray(out_support, dtype=np.float64)
-    if sup.ndim == 1:
-        sup = sup.reshape(-1, 1)
+    sup = as_points(out_support)
     if sup.size == 0:
         raise ValueError("out_support must be non-empty")
     if sup.shape[1] != source.dim:
@@ -246,7 +229,6 @@ class UniversalityRow:
 
 @dataclass(frozen=True)
 class UniversalityReport:
-    k: int
     rows: Tuple[UniversalityRow, ...]
 
     @property
@@ -322,4 +304,4 @@ def universal_encoder_check(source: DiscreteDistribution, k: int,
     for p, d0, (d_best, arg) in zip(p_grid, d_mmse, best):
         gap = (d0 - d_best) / max(abs(d_best), 1e-300)
         rows.append(UniversalityRow(p, d0, d_best, arg, max(gap, 0.0)))
-    return UniversalityReport(k, tuple(rows))
+    return UniversalityReport(tuple(rows))

@@ -19,7 +19,6 @@ from dplab.distcore import builtin_source, joint_from_encoder, make_distribution
 from dplab.tradeoff import (
     constrained_oracle,
     default_oracle_support,
-    evaluate_point,
     sweep,
     universal_encoder_check,
 )
@@ -46,7 +45,7 @@ def _optimal_kit(source, k):
 def test_criterion_1_endpoint_doubling():
     t0 = time.perf_counter()
     enc, gd, gp, d_d, _ = _optimal_kit(U4, 2)
-    d0 = evaluate_point(U4, enc, gd, gp, 0.0).d_measured
+    d0 = sweep(U4, enc, gd, gp, [0.0])[0].d_measured
     gap = abs(d0 - 2 * d_d)
     elapsed = time.perf_counter() - t0
     assert abs(d_d - 0.25) <= 1e-12
@@ -83,7 +82,7 @@ def test_criterion_3_oracle_tightness():
         enc, gd, gp, d_d, p_d = _optimal_kit(source, 2)
         sup = default_oracle_support(source, gd, gp)
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            target = evaluate_point(source, enc, gd, gp, alpha).d_measured
+            target = sweep(source, enc, gd, gp, [alpha])[0].d_measured
             d_star, _ = constrained_oracle(source, enc, alpha * alpha * p_d, sup)
             worst = max(worst, abs(d_star - target) / max(abs(target), 1e-300))
     elapsed = time.perf_counter() - t0

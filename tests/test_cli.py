@@ -360,6 +360,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["mmse", "--source", _grid_source(tmp_path / "bool_mean.json", mean=True)],
         ["mmse", "--source", _json_source(tmp_path / "str_pts.json", [["1"], ["2"]])],
         ["mmse", "--source", _json_source(tmp_path / "bool_pts.json", [[True], [False]])],
+        # a point with no coordinates is not a point in R^d
+        ["mmse", "--rate", "0", "--source", _json_source(tmp_path / "r0.json", [[]])],
+        ["sweep", "--rate", "0", "--source", str(tmp_path / "r0.json")],
+        ["verify", "--rate", "0", "--source", str(tmp_path / "r0.json")],
     ]
     for argv in cases:
         assert main(argv) == 2, argv

@@ -1,4 +1,3 @@
-import json
 import re
 import types
 
@@ -52,6 +51,15 @@ def test_negative_prob_error():
 def test_length_mismatch_error():
     with pytest.raises(ValueError):
         make_distribution([0.0, 1.0, 2.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("points", [[[]], np.zeros((3, 0))], ids=["json", "array"])
+def test_zero_coordinate_points_refused(points):
+    probs = np.full(len(points), 1.0 / len(points))
+    with pytest.raises(ValueError, match="same-dimension vectors"):
+        make_distribution(points, probs)
+    with pytest.raises(ValueError, match="same-dimension vectors"):
+        source_from_json({"points": np.asarray(points).tolist(), "probs": probs.tolist()})
 
 
 def test_nonfinite_point_error():
@@ -149,9 +157,8 @@ def test_source_from_json_points_form():
     assert source_from_json({"points": [0, 1], "probs": [0.5, 0.5]}).n == 2
 
 
-def test_source_from_json_string_and_grid_form():
-    d = source_from_json(json.dumps(
-        {"kind": "gaussian-grid", "mean": 0, "std": 1, "n": 33, "halfwidth": 4}))
+def test_source_from_json_grid_form():
+    d = source_from_json({"kind": "gaussian-grid", "mean": 0, "std": 1, "n": 33, "halfwidth": 4})
     ref = builtin_source("gauss33")
     assert np.array_equal(d.points, ref.points)
     assert np.array_equal(d.probs, ref.probs)
@@ -166,6 +173,9 @@ def test_source_from_json_errors():
         source_from_json({"nope": 1})
     with pytest.raises(ValueError):
         source_from_json([1, 2])
+    # the CLI parses the file itself; a JSON string is not a spec
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        source_from_json('{"points": [0, 1], "probs": [0.5, 0.5]}')
 
 
 @pytest.mark.parametrize("spec", [

@@ -1,0 +1,76 @@
+"""The package surface carries no dead weight.
+
+Two static checks on the source tree, with the standard library's ast only:
+no module imports a name it never uses, and every name the package exports is
+used somewhere other than its own definition: in the package, a demo or the
+README. An export only tests call is surface nobody else needs.
+"""
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dplab"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported(tree):
+    """Names bound at module level by import statements, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    return names
+
+
+def _used(nodes):
+    """Identifiers read anywhere under the given nodes, as names or attributes."""
+    used = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def _used_outside(tree, name):
+    """Identifiers read in a module outside the top-level definition of name."""
+    return _used(node for node in tree.body
+                 if getattr(node, "name", None) != name
+                 and not isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used(node for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom)))
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in _imported(tree).items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_export_has_a_user():
+    exports = _imported(_tree(PACKAGE / "__init__.py"))
+    assert exports
+    trees = [_tree(p) for p in MODULES if p.name != "__init__.py"]
+    demos = _used(_tree(p) for p in sorted((ROOT / "demos").glob("*.py")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    idle = []
+    for name in exports:
+        if (name in demos or re.search(rf"\b{re.escape(name)}\b", readme)
+                or any(name in _used_outside(t, name) for t in trees)):
+            continue
+        idle.append(name)
+    assert not idle, f"exports with no user outside the tests: {sorted(idle)}"

@@ -22,7 +22,6 @@ from dplab.tradeoff import (
     constrained_oracle,
     default_oracle_support,
     dp_derivatives,
-    evaluate_point,
     interpolate,
     predicted_distortion,
     predicted_perception,
@@ -112,15 +111,15 @@ def test_dp_derivatives():
 
 def test_evaluate_point_examples(u4_pair):
     enc, gd, gp, _ = u4_pair
-    mid = evaluate_point(U4, enc, gd, gp, 0.5)
+    mid = sweep(U4, enc, gd, gp, [0.5])[0]
     assert mid.d_measured == 0.3125
     assert abs(mid.p_measured - 0.0625) <= 1e-9
     assert mid.d_predicted == 0.3125 and mid.p_predicted == 0.0625
 
-    lo = evaluate_point(U4, enc, gd, gp, 0.0)
+    lo = sweep(U4, enc, gd, gp, [0.0])[0]
     assert lo.d_measured == 0.5 and lo.p_measured <= 1e-9
 
-    hi = evaluate_point(U4, enc, gd, gp, 1.0)
+    hi = sweep(U4, enc, gd, gp, [1.0])[0]
     assert hi.d_measured == 0.25 and abs(hi.p_measured - 0.25) <= 1e-9
 
 
@@ -422,7 +421,7 @@ def test_interpolation_identities_random_sources(case):
     src, alpha = case
     enc, gd, d_d = exhaustive_optimal_encoder(src, 2)
     gp = perceptual_decoder_for(src, enc)
-    pt = evaluate_point(src, enc, gd, gp, alpha)
+    pt = sweep(src, enc, gd, gp, [alpha])[0]
     assert abs(pt.d_measured - (1 + (1 - alpha) ** 2) * d_d) <= 1e-8
     assert abs(pt.p_measured - alpha ** 2 * pt.p_d) <= 1e-8
     assert abs(pt.p_d - d_d) <= 1e-9
