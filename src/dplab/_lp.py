@@ -6,15 +6,24 @@ options built once, over nonnegative variables. Their equality constraints are
 all built from two shapes on a row-major r-by-c block of variables x[i, j]:
 its row sums and its (weighted) column sums. The builders emit those blocks
 straight from index arrays; callers place them with sparse.bmat, except the
-transport LP, whose stacked pair `marginals` builds in CSC form directly.
+transport LP, whose stacked pair `marginals` builds in CSC form directly and
+caches per shape.
 
 The HiGHS model and options are exactly those `linprog(method="highs",
 options=HIGHS_OPTIONS)` would pass, so the returned x is the same to the bit
-(tests/test_lp.py holds that against linprog). Each solve is then checked by
-a primal/dual certificate instead of linprog's looser feasibility check.
+(tests/test_lp.py holds that against linprog). The model goes to HiGHS as the
+CSC arrays themselves. LPs of at most SHARED_MAX_COLS columns share one solver
+instance: passing a model clears the previous model, basis and solution, so
+no solve sees another's state (tests/test_lp.py solves the same LPs in
+several orders and after failures). A larger LP gets a fresh instance,
+dropped after its solve, so its work arrays do not stay resident. Each solve
+is then checked by a primal/dual certificate instead of linprog's looser
+feasibility check.
 """
 from __future__ import annotations
 
+import functools
+import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,10 +38,16 @@ HIGHS_OPTIONS = {
 # Certificate tolerance: on each row's residual relative to the size of the
 # terms it sums (see certificate), and relative to max(1, ‖c‖∞) on the dual side.
 CERT_TOL = 1e-9
+# LPs up to this many columns run on the shared solver; larger ones get a
+# fresh instance. verify on gauss33 at rate 2 solves LPs of up to 5,032
+# columns (median 20), where building an instance is a visible share of each
+# solve. Sharing it also for 128-256 point transport LPs (16,384 columns and
+# up) raised a process's peak RSS over a 20-s run of them from 146 to 171 MB.
+SHARED_MAX_COLS = 8192
 
 
 def _highs_options() -> _highs.HighsOptions:
-    """The options linprog(method="highs") sets for HIGHS_OPTIONS, validated once."""
+    """The options linprog(method="highs") sets for HIGHS_OPTIONS."""
     opts = _highs.HighsOptions()
     opts.presolve = "on"
     opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -41,12 +56,20 @@ def _highs_options() -> _highs.HighsOptions:
     opts.output_flag = False
     for key, value in HIGHS_OPTIONS.items():
         setattr(opts, key, value)
-    if _highs._Highs().passOptions(opts) != _highs.HighsStatus.kOk:
-        raise RuntimeError("HiGHS rejected dplab's solver options")
     return opts
 
 
+def _solver() -> _highs._Highs:
+    """A HiGHS instance holding _OPTIONS."""
+    highs = _highs._Highs()
+    if highs.passOptions(_OPTIONS) != _highs.HighsStatus.kOk:
+        raise RuntimeError("HiGHS rejected dplab's solver options")
+    return highs
+
+
 _OPTIONS = _highs_options()
+_SHARED = _solver()
+_SHARED_LOCK = threading.Lock()
 
 
 class LPResult(NamedTuple):
@@ -77,24 +100,34 @@ def col_sums(r: int, c: int, weights=None) -> sparse.csr_matrix:
     return block
 
 
+@functools.lru_cache(maxsize=64)
 def marginals(r: int, c: int) -> sparse.csc_array:
     """(r+c, r*c) row sums stacked over column sums, in CSC form.
 
     Column i*c + j holds two unit entries, at rows i and r + j; equals
     csc_array(bmat([[row_sums(r, c)], [col_sums(r, c)]])) entry for entry.
+    Built once per shape (the 64 most recently used are kept) and shared
+    by every caller, so its arrays are read-only.
     """
     indices = np.empty(2 * r * c, dtype=np.int32)
     indices[0::2] = np.repeat(np.arange(r, dtype=np.int32), c)
     indices[1::2] = np.tile(np.arange(r, r + c, dtype=np.int32), r)
     indptr = np.arange(0, 2 * r * c + 1, 2, dtype=np.int32)
-    return sparse.csc_array((np.ones(2 * r * c), indices, indptr), shape=(r + c, r * c))
+    data = np.ones(2 * r * c)
+    for part in (indices, indptr, data):
+        part.flags.writeable = False
+    return sparse.csc_array((data, indices, indptr), shape=(r + c, r * c))
 
 
 def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     """min c·x s.t. a_eq x = b_eq, a_ub x <= b_ub, x >= 0, by the HiGHS solver.
 
-    A fresh solver instance per LP, so no basis carries over between solves.
-    Non-finite data raise ValueError. A solution whose certificate fails
+    LPs of at most SHARED_MAX_COLS columns run on one shared solver instance,
+    larger ones on a fresh instance each; passing the model resets the
+    solver, so no basis carries over between solves either way. Non-finite
+    data, a constraint entry reaching HiGHS's large_matrix_value or a cost
+    reaching its infinite_cost raise ValueError: HiGHS would refuse the
+    model or treat the cost as infinite. A solution whose certificate fails
     (scaled primal residual or bound violation above CERT_TOL, reduced cost or
     duality gap beyond CERT_TOL·max(1, ‖c‖∞)) comes back with status 4.
     Callers map a nonzero status to their own error.
@@ -106,39 +139,38 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     for name, v in (("c", c), ("b_eq", b_eq), ("b_ub", b_ub), ("constraint matrix", a.data)):
         if not np.isfinite(v).all():
             raise ValueError(f"LP {name} must be finite")
+    for name, v, limit in (("constraint matrix entry", a.data, "large_matrix_value"),
+                           ("cost", c, "infinite_cost")):
+        bound = getattr(_OPTIONS, limit)
+        top = np.abs(v).max(initial=0.0)
+        if top >= bound:
+            raise ValueError(f"LP {name} {top:.3g} reaches HiGHS {limit} {bound:.3g}")
     n_row, n_col = a.shape
+    highs = _SHARED if n_col <= SHARED_MAX_COLS else _solver()
+    with _SHARED_LOCK:  # the shared instance serves one solve at a time
+        # no optimum: linprog's status code and message
+        if highs.passModel(
+                n_col, n_row, a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
+                0.0, c, np.zeros(n_col), np.full(n_col, np.inf),
+                np.concatenate([np.full(len(b_ub), -np.inf), b_eq]), np.concatenate([b_ub, b_eq]),
+                a.indptr, a.indices, a.data, np.zeros(n_col, dtype=np.int32),
+        ) == _highs.HighsStatus.kError:
+            model_status = _highs.HighsModelStatus.kModelError
+            return _failed(model_status, highs.modelStatusToString(model_status))
+        run_status = highs.run()
+        model_status = highs.getModelStatus()
+        if run_status == _highs.HighsStatus.kError:
+            return _failed(model_status, highs.modelStatusToString(model_status))
+        if model_status != _highs.HighsModelStatus.kOptimal:
+            primal_status = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
+            return _failed(model_status,
+                           f"model_status is {highs.modelStatusToString(model_status)}; "
+                           f"primal_status is {primal_status}")
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        y = np.array(solution.row_dual)
 
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(n_col)
-    lp.col_upper_ = np.full(n_col, np.inf)
-    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
-
-    highs = _highs._Highs()
-    highs.passOptions(_OPTIONS)
-    # no optimum: linprog's status code and message
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
-        model_status = _highs.HighsModelStatus.kModelError
-        return _failed(model_status, highs.modelStatusToString(model_status))
-    run_status = highs.run()
-    model_status = highs.getModelStatus()
-    if run_status == _highs.HighsStatus.kError:
-        return _failed(model_status, highs.modelStatusToString(model_status))
-    if model_status != _highs.HighsModelStatus.kOptimal:
-        primal_status = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
-        return _failed(model_status, f"model_status is {highs.modelStatusToString(model_status)}; "
-                                     f"primal_status is {primal_status}")
-
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    primal, dual, gap = certificate(a, c, b_eq, b_ub, x, np.array(solution.row_dual))
+    primal, dual, gap = certificate(a, c, b_eq, b_ub, x, y)
     scale = max(1.0, float(np.abs(c).max(initial=0.0)))
     if not (primal <= CERT_TOL and dual <= CERT_TOL * scale and gap <= CERT_TOL * scale):
         return LPResult(None, 4, f"LP certificate failed: primal residual {primal:.3g}, "

@@ -414,6 +414,28 @@ def test_rate_zero_on_more_than_64_points(capsys, tmp_path):
     assert "size cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale, argv, err", [
+    (1e8, ["verify", "--rate", "1"],
+     "LP constraint matrix entry 3.38e+16 reaches HiGHS large_matrix_value 1e+15"),
+    (1e8, ["oracle", "--rate", "1", "--perception", "1e15"],
+     "LP constraint matrix entry 3.38e+16 reaches HiGHS large_matrix_value 1e+15"),
+    (1e10, ["sweep", "--rate", "1", "--alphas", "0:1:0.5"],
+     "LP cost 2.25e+20 reaches HiGHS infinite_cost 1e+20"),
+    (1e11, ["sweep", "--rate", "1", "--alphas", "0:1:0.5"],
+     "LP cost 2.25e+22 reaches HiGHS infinite_cost 1e+20"),
+], ids=["verify-1e8", "oracle-1e8", "sweep-1e10", "sweep-1e11"])
+def test_highs_numeric_limits_named(capsys, tmp_path, scale, argv, err):
+    # the perception row's squared distances or the transport costs reach a
+    # HiGHS limit: a one-line error naming it, not "infeasible" or an unknown
+    # HiGHS status
+    points = np.random.default_rng(0).normal(size=(8, 1)) * scale
+    src = _json_source(tmp_path / "wide.json", points.tolist())
+    assert main(argv + ["--source", src]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_perception_error_message(capsys):
     assert main(["oracle", "--perception", "-0.1"]) == 2
     assert "perception must be ≥ 0" in capsys.readouterr().err

@@ -34,6 +34,17 @@ def test_marginals_match_stacked_blocks(r, c):
         assert np.array_equal(getattr(built, name), getattr(ref, name)), name
 
 
+def test_marginals_built_once_per_shape_and_read_only():
+    built = marginals(3, 4)
+    assert marginals(3, 4) is built
+    assert marginals(4, 3) is not built
+    for name in ("indptr", "indices", "data"):
+        part = getattr(built, name)
+        assert not part.flags.writeable, name
+        with pytest.raises(ValueError):
+            part[0] = part[0]
+
+
 def _recorded_lps(monkeypatch, run):
     """Arguments of every _lp.solve call made by run()."""
     calls = []
@@ -160,3 +171,84 @@ def test_solve_refuses_non_finite_data(bad):
         a_ub = sparse.csr_array(np.full((1, c.size), -np.inf))
     with pytest.raises(ValueError, match="must be finite"):
         _lp.solve(c, a_eq, b_eq, a_ub, b_ub)
+
+
+def _wide_transport():
+    # 96 x 90 = 8,640 columns: above SHARED_MAX_COLS, so a fresh solver
+    rng = np.random.default_rng(7)
+    a, b = rng.random(96), rng.random(90)
+    a, b = a / a.sum(), b / b.sum()
+    cost = rng.random((96, 90))
+    return cost.reshape(-1), marginals(96, 90), np.concatenate([a, b])
+
+
+@pytest.mark.parametrize("gate", ["default", "split"])
+def test_shared_solver_carries_no_state(monkeypatch, gate):
+    # every LP's x must equal linprog's (a fresh HiGHS each time) to the bit,
+    # whatever the shared solver ran before it: other LPs in either order, an
+    # infeasible LP, a solve whose certificate was rejected
+    lps = [args for name in sorted(_lp_cases())
+           for args in _recorded_lps(monkeypatch, _lp_cases()[name])]
+    # runs of one shape with new data, where a kept basis would show: oracle
+    # budgets along a sweep and random transport instances
+    enc33 = exhaustive_optimal_encoder(GAUSS33, 4)[0]
+    for budget in (0.02, 0.03, 0.05, 0.08):
+        lps += _recorded_lps(monkeypatch,
+                             lambda: constrained_oracle(GAUSS33, enc33, budget, GAUSS33.points))
+    for seed in range(6):
+        lps += _recorded_lps(monkeypatch, lambda: w2sq_exact(_planar(10 + seed, 6),
+                                                             _planar(20 + seed, 6)))
+    lps.append(_wide_transport())
+    if gate == "split":
+        # half the recorded LPs above the gate, interleaved with the others
+        monkeypatch.setattr(_lp, "SHARED_MAX_COLS", int(np.median([a[0].size for a in lps])))
+    assert any(a[0].size > _lp.SHARED_MAX_COLS for a in lps)
+    assert any(a[0].size <= _lp.SHARED_MAX_COLS for a in lps)
+    refs = [_reference(*args) for args in lps]
+    infeasible = next(a for a, ref in zip(lps, refs) if ref.status == 2)
+    small = _small_transport()[:3]
+
+    def check(i):
+        res = _lp.solve(*lps[i])
+        assert res.status == refs[i].status
+        if res.status == 0:
+            assert res.x.tobytes() == refs[i].x.tobytes()
+
+    fresh = []
+    solver = _lp._solver
+    monkeypatch.setattr(_lp, "_solver", lambda: fresh.append(1) or solver())
+    order = list(range(len(lps)))
+    for i in order + order[::-1]:
+        check(i)
+    for i in order:
+        assert _lp.solve(*infeasible).status == 2
+        check(i)
+    for i in order:
+        with monkeypatch.context() as m:
+            m.setattr(_lp, "CERT_TOL", -1.0)
+            assert _lp.solve(*small).status == 4
+        check(i)
+    # each solve above the gate, and only those, built its own instance
+    solved = 4 * lps + len(order) * [infeasible, small]
+    assert len(fresh) == sum(a[0].size > _lp.SHARED_MAX_COLS for a in solved)
+
+
+@pytest.mark.parametrize("bad", ["matrix", "cost"])
+def test_solve_refuses_values_at_highs_limits(bad):
+    # HiGHS refuses a model with a matrix entry at large_matrix_value and treats
+    # a cost at infinite_cost as infinite; both are one-line errors naming it
+    c, a_eq, b_eq, _, _ = _small_transport()
+    a_ub, b_ub = sparse.csr_array(np.ones((1, c.size))), np.array([10.0])
+    limit = {"matrix": "large_matrix_value", "cost": "infinite_cost"}[bad]
+    value = getattr(_lp._OPTIONS, limit)
+    below = np.nextafter(value, 0.0)
+    if bad == "matrix":
+        ok, over = (sparse.csr_array(np.full((1, c.size), v)) for v in (below, value))
+        assert _lp.solve(c, a_eq, b_eq, ok, np.array([2 * value])).status == 0
+        args = (c, a_eq, b_eq, over, b_ub)
+    else:
+        assert _lp.solve(np.where(np.arange(c.size) == 1, below, c), a_eq, b_eq).status == 0
+        args = (np.where(np.arange(c.size) == 1, value, c), a_eq, b_eq, a_ub, b_ub)
+    with pytest.raises(ValueError, match=f"reaches HiGHS {limit}") as err:
+        _lp.solve(*args)
+    assert "\n" not in str(err.value)
