@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmented import (
+    INDETERMINATE_BAND,
     augmented_objective,
     beta_to_lambda,
     conditioning_equivalence,
@@ -229,7 +230,7 @@ def _check_phase_transition(ctx: _Ctx) -> CheckResult:
     for s in ctx.phase:
         recomputed = augmented_objective(ctx.source, ctx.enc, ctx.gd, s.decoder, s.lam)
         consistency = max(consistency, abs(recomputed - s.objective))
-        if abs(s.lam - 1.0) <= 1e-9:
+        if abs(s.lam - 1.0) <= INDETERMINATE_BAND:
             flags_ok = flags_ok and s.flag == "indeterminate"
             continue
         flags_ok = flags_ok and s.flag == "ok"

@@ -25,7 +25,6 @@ from .codec import (
     exhaustive_optimal_encoder,
     lloyd_train,
     perceptual_decoder_for,
-    distortion,
     decoder_output_dist,
 )
 from .distcore import DiscreteDistribution, builtin_source, source_from_json
@@ -35,6 +34,7 @@ from .tradeoff import (
     check_budget,
     constrained_oracle,
     default_oracle_support,
+    mmse_endpoint,
     predicted_distortion,
     sweep,
     sweep_to_csv,
@@ -180,11 +180,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     check_budget(p_budget)
     enc, gd = build_codec(args, source)
     gp = perceptual_decoder_for(source, enc)
-    d_d = distortion(source, enc, gd)
-    p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+    d_d, p_d = mmse_endpoint(source, enc, gd)
     sup = default_oracle_support(source, gd, gp)
     d_star, dec = constrained_oracle(source, enc, p_budget, sup)
-    alpha = alpha_for_perception(p_budget, p_d) if p_d > 0 else 1.0
+    alpha = alpha_for_perception(p_budget, p_d)
     payload = {
         "perception": p_budget,
         "D_star": d_star,
@@ -195,16 +194,25 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "out_support_size": int(sup.shape[0]),
     }
     if args.dump_plan:
-        plan = w2sq_exact(source, decoder_output_dist(source, enc, dec))
-        payload["plan"] = plan.to_jsonable()
+        out_law = decoder_output_dist(source, enc, dec)
+        plan = w2sq_exact(source, out_law)
+        payload["plan"] = {
+            "pi": plan.pi.tolist(),
+            "cost": plan.cost,
+            "order": 2,
+            "row_points": source.points.tolist(),
+            "row_probs": source.probs.tolist(),
+            "col_points": out_law.points.tolist(),
+            "col_probs": out_law.probs.tolist(),
+        }
     _emit(_json_artifact(payload), args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     source = load_source(args.source)
-    rel_tol = args.tol if args.tol is not None else 1e-6
-    results = run_checks(source, 2 ** args.rate, seed=args.seed, rel_tol=rel_tol)
+    kwargs = {} if args.tol is None else {"rel_tol": args.tol}
+    results = run_checks(source, 2 ** args.rate, seed=args.seed, **kwargs)
     _emit(report_text(results), args.out)
     return 0 if all(r.passed for r in results) else 1
 
@@ -216,6 +224,8 @@ def _rate(text: str) -> int:
         raise argparse.ArgumentTypeError("rate must be an integer") from None
     if v < 0:
         raise argparse.ArgumentTypeError("rate must be ≥ 0")
+    if v > 62:  # code indices are int64
+        raise argparse.ArgumentTypeError("rate must be ≤ 62")
     return v
 
 

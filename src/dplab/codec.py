@@ -106,6 +106,11 @@ def _check_code_count(K: int, n: int) -> None:
         raise ValueError(f"K > n: {K} codes for {n} support points")
 
 
+def _check_enumeration(K: int, n: int) -> None:
+    if K ** n > ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap exceeded: K^n = {K}^{n} > {ENUMERATION_CAP}")
+
+
 def _require_finite_mse(source: DiscreteDistribution) -> None:
     """Refuse a source whose E‖X‖² overflows: every candidate MSE is inf or nan,
     so no search can rank encoders on it."""
@@ -396,10 +401,9 @@ def exhaustive_optimal_encoder(
     _require_finite_mse(source)
     if source.dim == 1:
         assign = _interval_dp(source, K)
-    elif K ** source.n <= ENUMERATION_CAP:
-        assign = _exhaustive_full(source, K)
     else:
-        raise ValueError(f"enumeration cap exceeded: K^n = {K}^{source.n} > {ENUMERATION_CAP}")
+        _check_enumeration(K, source.n)
+        assign = _exhaustive_full(source, K)
     enc = Encoder(assign, K)
     gd = mmse_decoder_for(source, enc)
     return enc, gd, distortion(source, enc, gd)

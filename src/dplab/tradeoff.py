@@ -25,10 +25,12 @@ from scipy import sparse
 from . import _lp
 from ._format import csv_text
 from .codec import (
-    ENUMERATION_CAP,
+    BLOCK_ELEMENTS,
     DeterministicDecoder,
     Encoder,
     StochasticDecoder,
+    _check_enumeration,
+    _first_occurrence_blocks,
     decoder_output_dist,
     distortion,
     exhaustive_optimal_encoder,
@@ -93,10 +95,15 @@ def check_budget(p: float) -> None:
 
 
 def alpha_for_perception(p: float, p_d: float) -> float:
-    """min(sqrt(P/P_d), 1): the interpolation weight exhausting budget P."""
+    """min(sqrt(P/P_d), 1): the interpolation weight exhausting budget P.
+
+    A lossless codec (P_d = 0) already meets every budget, so it gets 1.
+    """
     check_budget(p)
-    if p_d <= 0:
-        raise ValueError("P_d must be > 0 (lossless codec leaves nothing to interpolate)")
+    if p_d < 0:
+        raise ValueError("P_d must be ≥ 0")
+    if p_d == 0:
+        return 1.0
     return min(math.sqrt(p / p_d), 1.0)
 
 
@@ -121,6 +128,12 @@ def dp_derivatives(alpha: float, d_d: float) -> Tuple[float, float]:
     return alpha / (alpha - 1.0), 1.0 / (2.0 * (1.0 - alpha) ** 3 * d_d)
 
 
+def mmse_endpoint(source: DiscreteDistribution, enc: Encoder,
+                  gd: DeterministicDecoder) -> Tuple[float, float]:
+    """(D_d, P_d): the MMSE decoder's distortion and W2² to the source law."""
+    return distortion(source, enc, gd), w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+
+
 def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
           gp: StochasticDecoder, alphas: Sequence[float]) -> list:
     """One TradeoffPoint per grid value, emitted in grid order.
@@ -133,8 +146,7 @@ def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
         raise ValueError("alpha out of range [0, 1]")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be sorted ascending")
-    d_d = distortion(source, enc, gd)
-    p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+    d_d, p_d = mmse_endpoint(source, enc, gd)
     points = []
     for a in alphas:
         realized = interpolate(gd, gp, a)
@@ -223,7 +235,6 @@ class UniversalityRow:
     p_budget: float
     d_star_mmse: float
     d_star_best: float
-    best_assignment: tuple
     rel_gap: float
 
 
@@ -239,20 +250,6 @@ class UniversalityReport:
         return self.max_rel_gap <= tol
 
 
-def _set_partitions(n: int, k: int, prefix: tuple = (0,)):
-    """Every partition of range(n) into at most k cells, once each.
-
-    A partition is labeled by first occurrence (point 0 has code 0, and each
-    new cell takes the next free code), which is its lexicographically
-    smallest labeling; partitions come in lexicographic order of that labeling.
-    """
-    if len(prefix) == n:
-        yield prefix
-        return
-    for z in range(min(max(prefix) + 2, k)):
-        yield from _set_partitions(n, k, prefix + (z,))
-
-
 def universal_encoder_check(source: DiscreteDistribution, k: int,
                             p_grid: Sequence[float]) -> UniversalityReport:
     """Certify that no encoder beats the MMSE partition at any budget P.
@@ -263,45 +260,40 @@ def universal_encoder_check(source: DiscreteDistribution, k: int,
     from one W2 LP: any decoder's error is D_d + E||Xd - X̂||² by orthogonality,
     the W2 triangle inequality bounds the second term below, and the OT
     interpolation attains it (Freirich, Michaeli & Meir 2021). Relabelings
-    share a value, so each partition is visited once; ENUMERATION_CAP still
-    bounds the K^n labeled assignments.
+    share a value, so each partition is visited once, by its first-occurrence
+    labeling; ENUMERATION_CAP still bounds the K^n labeled assignments.
     """
     n = source.n
-    if k**n > ENUMERATION_CAP:
-        raise ValueError(f"enumeration cap exceeded: K^n = {k}^{n} > {ENUMERATION_CAP}")
+    _check_enumeration(k, n)
     p_grid = [float(p) for p in p_grid]
     for p in p_grid:
         check_budget(p)
 
-    # the MMSE encoder fills every cell with first-occurrence labels, so it is
-    # one of the enumerated partitions
-    mmse_assign = tuple(int(z) for z in exhaustive_optimal_encoder(source, k)[0].assignment)
-    enc = Encoder(np.asarray(mmse_assign, dtype=np.int64), max(mmse_assign) + 1)
-    gd = mmse_decoder_for(source, enc)
+    enc, gd, _ = exhaustive_optimal_encoder(source, k)
     gp = perceptual_decoder_for(source, enc)
-    p_d = w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+    _, p_d = mmse_endpoint(source, enc, gd)
     base = default_oracle_support(source, gd, gp)
     d_mmse = []
     for p in p_grid:
-        a = alpha_for_perception(p, p_d) if p_d > 0 else 1.0
-        sup = np.vstack([base, interpolate(gd, gp, a).out_support])
+        sup = np.vstack([base, interpolate(gd, gp, alpha_for_perception(p, p_d)).out_support])
         d_mmse.append(constrained_oracle(source, enc, p, sup)[0])
 
-    best = [(d0, mmse_assign) for d0 in d_mmse]
-    for assign in _set_partitions(n, k):
-        if assign == mmse_assign:
-            continue
-        enc = Encoder(np.asarray(assign, dtype=np.int64), max(assign) + 1)
-        gd = mmse_decoder_for(source, enc)
-        d_d = distortion(source, enc, gd)
-        root_p_d = math.sqrt(w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost)
-        for i, p in enumerate(p_grid):
-            bound = d_d + max(root_p_d - math.sqrt(p), 0.0) ** 2
-            if bound < best[i][0]:
-                best[i] = (bound, assign)
+    # the MMSE encoder fills every cell with first-occurrence labels, so it is
+    # one of the walked partitions and is skipped there
+    best = list(d_mmse)
+    for kk in range(1, k + 1):
+        for block in _first_occurrence_blocks(n, kk, max(1, BLOCK_ELEMENTS // n)):
+            for assign in block:
+                if np.array_equal(assign, enc.assignment):
+                    continue
+                rival = Encoder(assign, kk)
+                rival_d, rival_p = mmse_endpoint(source, rival, mmse_decoder_for(source, rival))
+                root_p = math.sqrt(rival_p)
+                for i, p in enumerate(p_grid):
+                    best[i] = min(best[i], rival_d + max(root_p - math.sqrt(p), 0.0) ** 2)
 
     rows = []
-    for p, d0, (d_best, arg) in zip(p_grid, d_mmse, best):
+    for p, d0, d_best in zip(p_grid, d_mmse, best):
         gap = (d0 - d_best) / max(abs(d_best), 1e-300)
-        rows.append(UniversalityRow(p, d0, d_best, arg, max(gap, 0.0)))
+        rows.append(UniversalityRow(p, d0, d_best, max(gap, 0.0)))
     return UniversalityReport(tuple(rows))

@@ -9,7 +9,6 @@ degenerate; ties among plans are broken by the solver's deterministic pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,28 +20,10 @@ SIZE_CAP = 512
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """An optimal coupling with its realized cost.
-
-    row/col are the coupled distributions when the plan was built from point
-    geometry (w1_exact / w2sq_exact) and None for raw cost-matrix solves;
-    order is the ground-cost exponent (1 or 2) or None for raw solves.
-    """
+    """An optimal coupling with its realized cost."""
 
     pi: np.ndarray
     cost: float
-    order: Optional[int] = None
-    row: Optional[DiscreteDistribution] = None
-    col: Optional[DiscreteDistribution] = None
-
-    def to_jsonable(self) -> dict:
-        out = {"pi": self.pi.tolist(), "cost": self.cost, "order": self.order}
-        if self.row is not None:
-            out["row_points"] = self.row.points.tolist()
-            out["row_probs"] = self.row.probs.tolist()
-        if self.col is not None:
-            out["col_points"] = self.col.points.tolist()
-            out["col_probs"] = self.col.probs.tolist()
-        return out
 
 
 def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
@@ -85,8 +66,7 @@ def _w_exact(a: DiscreteDistribution, b: DiscreteDistribution, order: int) -> Tr
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     sq = sq_dists(a.points, b.points)
     cost = np.sqrt(sq) if order == 1 else sq
-    plan = solve_transport_lp(cost, a.probs, b.probs)
-    return TransportPlan(pi=plan.pi, cost=plan.cost, order=order, row=a, col=b)
+    return solve_transport_lp(cost, a.probs, b.probs)
 
 
 def w1_exact(a: DiscreteDistribution, b: DiscreteDistribution) -> TransportPlan:

@@ -65,6 +65,44 @@ MMSE_GAUSS33_GOLDEN = (
     "}\n"
 )
 
+# the plan certifying P: the coupling of the source (rows) with the oracle
+# decoder's output law (columns)
+ORACLE_PLAN_U4_GOLDEN = (
+    "{\n"
+    '  "perception": 0.0625,\n'
+    '  "D_star": 0.3125,\n'
+    '  "alpha": 0.5,\n'
+    '  "D_predicted": 0.3125,\n'
+    '  "D_d": 0.25,\n'
+    '  "P_d": 0.25,\n'
+    '  "out_support_size": 18,\n'
+    '  "plan": {\n'
+    '    "pi": [\n'
+    "      [0.25, 0, 0, 0],\n"
+    "      [0, 0.25, 0, 0],\n"
+    "      [0, 0, 0.25, 0],\n"
+    "      [0, 0, 0, 0.25]\n"
+    "    ],\n"
+    '    "cost": 0.0625,\n'
+    '    "order": 2,\n'
+    '    "row_points": [\n'
+    "      [0],\n"
+    "      [1],\n"
+    "      [2],\n"
+    "      [3]\n"
+    "    ],\n"
+    '    "row_probs": [0.25, 0.25, 0.25, 0.25],\n'
+    '    "col_points": [\n'
+    "      [0.25],\n"
+    "      [0.75],\n"
+    "      [2.25],\n"
+    "      [2.75]\n"
+    "    ],\n"
+    '    "col_probs": [0.25, 0.25, 0.25, 0.25]\n'
+    "  }\n"
+    "}\n"
+)
+
 PERCEPTUAL_U4_GOLDEN = (
     "{\n"
     '  "K": 2,\n'
@@ -175,6 +213,20 @@ def test_lp_artifacts_golden(capsys):
     assert main(["oracle", "--source", "builtin:gauss33", "--rate", "2",
                  "--perception", "0.05"]) == 0
     assert capsys.readouterr().out == ORACLE_GAUSS33_GOLDEN
+
+
+def test_oracle_dump_plan_golden(capsys):
+    assert main(["oracle", "--perception", "0.0625", "--dump-plan"]) == 0
+    assert capsys.readouterr().out == ORACLE_PLAN_U4_GOLDEN
+
+
+def test_oracle_dump_plan_sha256(capsys):
+    # a 33 x 34 plan: the full JSON bytes, pinned by digest
+    assert main(["oracle", "--source", "builtin:gauss33", "--rate", "2",
+                 "--perception", "0.05", "--dump-plan"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6138b58e2e991792594a59053d02fb6d6f581929f366289a19d6f283d96edad5")
 
 
 def test_codec_artifacts_golden(capsys):
@@ -325,6 +377,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["frobnicate"],
         [],
         ["sweep", "--rate", "-1"],
+        # K = 2^rate must fit the int64 code indices
+        ["mmse", "--rate", "14000"],
+        ["mmse", "--rate", "1000000"],
         ["sweep", "--rate", "x"],
         ["sweep", "--seed", "-5"],
         ["sweep", "--tol", "0"],

@@ -126,22 +126,12 @@ def test_plan_invariants():
     wb = rng.random(5) + 0.1
     b = make_distribution(rng.normal(size=(5, 2)), wb / wb.sum())
     plan = w2sq_exact(a, b)
-    assert plan.order == 2
     assert np.abs(plan.pi.sum(axis=1) - a.probs).max() <= 1e-9
     assert np.abs(plan.pi.sum(axis=0) - b.probs).max() <= 1e-9
     assert np.all(plan.pi >= 0)
     d = a.points[:, None, :] - b.points[None, :, :]
     sq = np.einsum("ijk,ijk->ij", d, d)
     assert abs(plan.cost - float(np.sum(plan.pi * sq))) <= 1e-12
-
-
-def test_plan_jsonable():
-    plan = w1_exact(U4, HALF_POINTS)
-    obj = plan.to_jsonable()
-    assert obj["order"] == 1
-    assert obj["cost"] == plan.cost
-    assert np.asarray(obj["pi"]).shape == (4, 2)
-    assert obj["row_probs"] == [0.25] * 4
 
 
 def test_dimension_mismatch_error():
