@@ -344,11 +344,13 @@ PINNED_ROWS = {
 }
 
 
-@pytest.mark.parametrize("name, src", [
-    ("two_cluster", TWO_CLUSTER),
-    ("eight_point", _eight_point_source()),
+@pytest.mark.parametrize("name, src, best", [
+    ("two_cluster", TWO_CLUSTER, (0, 0, 1, 1)),
+    ("eight_point", _eight_point_source(), (0, 0, 0, 0, 1, 1, 1, 1)),
 ])
-def test_universality_rows_pinned(name, src):
+def test_universality_rows_pinned(name, src, best):
+    # the MMSE partition, which every row's zero gap says no rival beats
+    assert tuple(exhaustive_optimal_encoder(src, 2)[0].assignment.tolist()) == best
     report = _universality_on_p_d_grid(src)
     got = [(r.p_budget.hex(), r.d_star_mmse.hex(), r.d_star_best.hex()) for r in report.rows]
     assert got == PINNED_ROWS[name]
