@@ -7,7 +7,7 @@ all built from two shapes on a row-major r-by-c block of variables x[i, j]:
 its row sums and its (weighted) column sums. The builders emit those blocks
 straight from index arrays; callers place them with sparse.bmat, except the
 transport LP, whose stacked pair `marginals` builds in CSC form directly and
-caches per shape.
+caches per shape for the shapes the shared solver runs.
 
 The HiGHS model and options are exactly those `linprog(method="highs",
 options=HIGHS_OPTIONS)` would pass, so the returned x is the same to the bit
@@ -16,9 +16,10 @@ CSC arrays themselves. LPs of at most SHARED_MAX_COLS columns share one solver
 instance: passing a model clears the previous model, basis and solution, so
 no solve sees another's state (tests/test_lp.py solves the same LPs in
 several orders and after failures). A larger LP gets a fresh instance,
-dropped after its solve, so its work arrays do not stay resident. Each solve
-is then checked by a primal/dual certificate instead of linprog's looser
-feasibility check.
+dropped as soon as its solution is read: its work arrays do not stay
+resident, and x, y and the certificate's temporaries are never allocated
+beside them. Each solve is then checked by a primal/dual certificate instead
+of linprog's looser feasibility check.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ CERT_TOL = 1e-9
 # columns (median 20), where building an instance is a visible share of each
 # solve. Sharing it also for 128-256 point transport LPs (16,384 columns and
 # up) raised a process's peak RSS over a 20-s run of them from 146 to 171 MB.
+# The same bound decides which transport shapes `marginals` keeps cached.
 SHARED_MAX_COLS = 8192
 
 
@@ -100,15 +102,21 @@ def col_sums(r: int, c: int, weights=None) -> sparse.csr_matrix:
     return block
 
 
-@functools.lru_cache(maxsize=64)
 def marginals(r: int, c: int) -> sparse.csc_array:
     """(r+c, r*c) row sums stacked over column sums, in CSC form.
 
     Column i*c + j holds two unit entries, at rows i and r + j; equals
     csc_array(bmat([[row_sums(r, c)], [col_sums(r, c)]])) entry for entry.
-    Built once per shape (the 64 most recently used are kept) and shared
-    by every caller, so its arrays are read-only.
+    Its arrays are read-only. Shapes the shared solver runs (r*c at most
+    SHARED_MAX_COLS) are built once and shared by every caller, the 64 most
+    recently used kept; a larger shape is built per call, in well under a
+    millisecond against its solve's tenths of a second, so it is freed with
+    its LP.
     """
+    return (_marginals_cached if r * c <= SHARED_MAX_COLS else _build_marginals)(r, c)
+
+
+def _build_marginals(r: int, c: int) -> sparse.csc_array:
     indices = np.empty(2 * r * c, dtype=np.int32)
     indices[0::2] = np.repeat(np.arange(r, dtype=np.int32), c)
     indices[1::2] = np.tile(np.arange(r, r + c, dtype=np.int32), r)
@@ -119,11 +127,16 @@ def marginals(r: int, c: int) -> sparse.csc_array:
     return sparse.csc_array((data, indices, indptr), shape=(r + c, r * c))
 
 
+_marginals_cached = functools.lru_cache(maxsize=64)(_build_marginals)
+marginals.cache_info = _marginals_cached.cache_info
+
+
 def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     """min c·x s.t. a_eq x = b_eq, a_ub x <= b_ub, x >= 0, by the HiGHS solver.
 
     LPs of at most SHARED_MAX_COLS columns run on one shared solver instance,
-    larger ones on a fresh instance each; passing the model resets the
+    larger ones on a fresh instance each, freed once its solution is read and
+    before x and y are copied out and certified; passing the model resets the
     solver, so no basis carries over between solves either way. Non-finite
     data, a constraint entry reaching HiGHS's large_matrix_value or a cost
     reaching its infinite_cost raise ValueError: HiGHS would refuse the
@@ -167,8 +180,12 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
                            f"model_status is {highs.modelStatusToString(model_status)}; "
                            f"primal_status is {primal_status}")
         solution = highs.getSolution()
-        x = np.array(solution.col_value)
-        y = np.array(solution.row_dual)
+    # A fresh instance's working set is freed here, before x, y and the
+    # certificate are allocated beside it; _SHARED keeps the shared one.
+    del highs
+    x = np.array(solution.col_value)
+    y = np.array(solution.row_dual)
+    del solution
 
     primal, dual, gap = certificate(a, c, b_eq, b_ub, x, y)
     scale = max(1.0, float(np.abs(c).max(initial=0.0)))
@@ -201,7 +218,7 @@ def certificate(a, c, b_eq, b_ub, x, y) -> tuple:
     terms = a.data * x[col]
     ax = np.bincount(a.indices, weights=terms, minlength=n_row)
     residual = (ax - rhs) / np.maximum(
-        1.0, np.bincount(a.indices, weights=np.abs(terms), minlength=n_row))
+        1.0, np.bincount(a.indices, weights=np.abs(terms, out=terms), minlength=n_row))
     primal = max(np.abs(residual[m_ub:]).max(initial=0.0),
                  residual[:m_ub].max(initial=0.0), -x.min(initial=0.0))
     aty = np.bincount(col, weights=a.data * y[a.indices], minlength=n_col)

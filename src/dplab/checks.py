@@ -305,8 +305,13 @@ def _check_derivative_consistency(ctx: _Ctx) -> CheckResult:
     p = [p.p_measured for p in ctx.points101]
     worst = 0.0
     slopes = []
+    flat = 0  # steps the LPs cannot resolve: D did not move at all
     for i in range(1, 100):
-        est = (p[i + 1] - p[i - 1]) / (d[i + 1] - d[i - 1])
+        step = d[i + 1] - d[i - 1]
+        if step == 0:
+            flat += 1
+            continue
+        est = (p[i + 1] - p[i - 1]) / step
         ref, _ = dp_derivatives(alphas[i], ctx.d_d)
         worst = max(worst, abs(est - ref) / abs(ref))
         slopes.append(est)
@@ -314,11 +319,12 @@ def _check_derivative_consistency(ctx: _Ctx) -> CheckResult:
     # slope decreases in alpha, hence increases in D: convexity
     convex = all(b < a for a, b in zip(slopes, slopes[1:]))
     curvature_pos = all(dp_derivatives(a, ctx.d_d)[1] > 0 for a in alphas[1:-1])
-    ok = worst <= 1e-3 and negative and convex and curvature_pos
+    ok = flat == 0 and worst <= 1e-3 and negative and convex and curvature_pos
     return CheckResult(
         "derivative_consistency", ok,
         f"max rel |ΔP/ΔD − α/(α−1)| = {worst:.3g} (tol 1e-3), "
-        f"slopes negative={negative}, convex in D={convex and curvature_pos}",
+        f"slopes negative={negative}, convex in D={convex and curvature_pos}"
+        + (f"; ΔD = 0 at {flat} of 99 steps" if flat else ""),
     )
 
 

@@ -64,8 +64,9 @@ def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
 def _w_exact(a: DiscreteDistribution, b: DiscreteDistribution, order: int) -> TransportPlan:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    sq = sq_dists(a.points, b.points)
-    cost = np.sqrt(sq) if order == 1 else sq
+    cost = sq_dists(a.points, b.points)
+    if order == 1:
+        np.sqrt(cost, out=cost)  # in place: the array is this call's own
     return solve_transport_lp(cost, a.probs, b.probs)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -489,6 +490,36 @@ def test_highs_numeric_limits_named(capsys, tmp_path, scale, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("rate", ["14000", "1000000"])
+def test_rate_above_62_message(capsys, rate):
+    # argparse prints its usage line first; the error must name the bound, not
+    # a K with thousands of digits or Python's int-to-str digit limit
+    assert main(["mmse", "--rate", rate]) == 2
+    assert "rate must be ≤ 62" in capsys.readouterr().err
+
+
+def test_verify_flat_distortion_steps_fail_without_traceback(capsys, tmp_path):
+    # the LPs cannot resolve this source (D_d ≈ 1e-58, measured P_d ≈ 3e-24),
+    # so D(α) repeats between sweep points and a finite difference has
+    # ΔD = 0: derivative_consistency must FAIL and count those steps
+    src = tmp_path / "flat.json"
+    src.write_text(json.dumps({
+        "points": [[7.701003116608736e-13, -1.639743927473182e-13],
+                   [7.701003116608744e-13, -1.6397439274731838e-13],
+                   [-1.0497298581965886e-12, -1.619902676466445e-12],
+                   [-7.810775372671155e-14, 1.0766378175254604e-13],
+                   [-1.2551643220875788e-13, 6.125551576693115e-13],
+                   [-1.9776704938669993e-12, 5.594844877840935e-13]],
+        "probs": [0.02335861653118443, 6.1116469338897e-08, 2.1411157476106878e-15,
+                  0.559606706850548, 7.266667144097955e-49, 0.4170346155017961]}))
+    assert main(["verify", "--source", str(src), "--rate", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    line = next(ln for ln in captured.out.split("\n")
+                if ln.startswith("FAIL derivative_consistency:"))
+    assert re.search(r"; ΔD = 0 at [1-9]\d* of 99 steps$", line), line
 
 
 def test_perception_error_message(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from dplab import _lp
 from dplab._lp import CERT_TOL, HIGHS_OPTIONS, certificate, col_sums, marginals, row_sums
@@ -25,13 +26,21 @@ def test_blocks_match_kron_definitions():
     assert block.nnz == 2 * c  # zero weights store no entry
 
 
-@pytest.mark.parametrize("r, c", [(1, 1), (1, 5), (4, 1), (3, 4), (6, 6), (33, 20)])
+@pytest.mark.parametrize("r, c", [(1, 1), (1, 5), (4, 1), (3, 4), (6, 6), (33, 20), (96, 90)])
 def test_marginals_match_stacked_blocks(r, c):
+    cached = marginals.cache_info().currsize
     built = marginals(r, c)
     ref = sparse.csc_array(sparse.bmat([[row_sums(r, c)], [col_sums(r, c)]]))
     assert built.shape == ref.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(built, name), getattr(ref, name)), name
+    if r * c > _lp.SHARED_MAX_COLS:
+        # a shape the shared solver does not run is built per call, read-only
+        # like a cached one, and never held by the cache
+        assert marginals(r, c) is not built
+        assert marginals.cache_info().currsize == cached
+        for name in ("indptr", "indices", "data"):
+            assert not getattr(built, name).flags.writeable, name
 
 
 def test_marginals_built_once_per_shape_and_read_only():
@@ -231,6 +240,56 @@ def test_shared_solver_carries_no_state(monkeypatch, gate):
     # each solve above the gate, and only those, built its own instance
     solved = 4 * lps + len(order) * [infeasible, small]
     assert len(fresh) == sum(a[0].size > _lp.SHARED_MAX_COLS for a in solved)
+
+
+class _LoggedHighs(_highs._Highs):
+    """A solver holding dplab's options that logs each run and its own deletion."""
+
+    def __init__(self, log, name):
+        super().__init__()
+        assert self.passOptions(_lp._OPTIONS) == _highs.HighsStatus.kOk
+        self.log, self.name = log, name
+
+    def run(self):
+        self.log.append(f"run {self.name}")
+        return super().run()
+
+    def __del__(self):
+        self.log.append(f"del {self.name}")
+
+
+def _log_certificate(monkeypatch, log):
+    certificate = _lp.certificate
+    monkeypatch.setattr(_lp, "certificate",
+                        lambda *args: log.append("certificate") or certificate(*args))
+
+
+def test_fresh_solver_freed_before_certificate(monkeypatch):
+    # a fresh instance's working set is released before dplab copies the
+    # solution out and certifies it, so the two never sit side by side
+    log = []
+    monkeypatch.setattr(_lp, "_solver", lambda: _LoggedHighs(log, "fresh"))
+    _log_certificate(monkeypatch, log)
+    args = _wide_transport()
+    assert args[0].size > _lp.SHARED_MAX_COLS
+    res = _lp.solve(*args)
+    assert log == ["run fresh", "del fresh", "certificate"]
+    assert res.status == 0 and res.x.tobytes() == _reference(*args).x.tobytes()
+
+
+def test_shared_solver_never_freed(monkeypatch):
+    log = []
+    # the module global is the instance's only reference
+    monkeypatch.setattr(_lp, "_SHARED", _LoggedHighs(log, "shared"))
+    _log_certificate(monkeypatch, log)
+    small = _small_transport()[:3]
+    assert small[0].size <= _lp.SHARED_MAX_COLS
+    for _ in range(3):
+        assert _lp.solve(*small).status == 0
+    with monkeypatch.context() as m:
+        m.setattr(_lp, "CERT_TOL", -1.0)
+        assert _lp.solve(*small).status == 4
+    assert log == 4 * ["run shared", "certificate"]
 
 
 @pytest.mark.parametrize("bad", ["matrix", "cost"])
