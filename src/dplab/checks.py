@@ -7,7 +7,12 @@ reported as skipped rather than silently dropped.
 """
 from __future__ import annotations
 
+import functools
 import math
+import mmap
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +51,7 @@ from .transport import w1_exact, w2sq_exact, w_1d_closed_form
 
 UNIVERSALITY_CAP = 1024  # K^n above this -> the brute-force check is skipped
 _PHASE_LAMBDAS = (0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0)
+_PAIRS = 50  # transport_agreement's 1-D pairs; transport_axioms' triples follow them
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,9 @@ class CheckResult:
 class _Ctx:
     """Shared scenario state so each check re-derives only what it asserts."""
 
-    def __init__(self, source: DiscreteDistribution, k: int, seed: int, rel_tol: float):
+    def __init__(self, source: DiscreteDistribution, k: int, seed: int, rel_tol: float,
+                 trials: _SharedTrials):
+        self._trials = trials
         self.source = source
         self.k = k
         self.seed = seed
@@ -81,6 +89,11 @@ class _Ctx:
         self.points21 = self.points101[::5]
         self.p_d = self.points101[0].p_d
         self.phase = phase_sweep(source, self.enc, self.gd, _PHASE_LAMBDAS)
+
+    @functools.cached_property
+    def transport(self) -> list:
+        """Each seed-only transport trial's values, in draw order."""
+        return self._trials.collect()
 
 
 def _check_canonical_support(ctx: _Ctx) -> CheckResult:
@@ -329,15 +342,7 @@ def _check_derivative_consistency(ctx: _Ctx) -> CheckResult:
 
 
 def _check_transport_agreement(ctx: _Ctx) -> CheckResult:
-    rng = np.random.default_rng(ctx.seed + 3)
-    worst = 0.0
-    for _ in range(50):
-        na, nb = int(rng.integers(2, 17)), int(rng.integers(2, 17))
-        wa, wb = rng.random(na) + 0.05, rng.random(nb) + 0.05
-        a = make_distribution(rng.normal(size=na), wa / wa.sum())
-        b = make_distribution(rng.normal(size=nb), wb / wb.sum())
-        worst = max(worst, abs(w1_exact(a, b).cost - w_1d_closed_form(a, b, 1)))
-        worst = max(worst, abs(w2sq_exact(a, b).cost - w_1d_closed_form(a, b, 2)))
+    worst = max((0.0, *(gap for t in ctx.transport[:_PAIRS] for gap in t[:2])))
     return CheckResult(
         "transport_agreement", worst <= 1e-10,
         f"max |LP − closed form| over 50 seeded pairs, both orders = {worst:.3g} (tol 1e-10)",
@@ -345,20 +350,8 @@ def _check_transport_agreement(ctx: _Ctx) -> CheckResult:
 
 
 def _check_transport_axioms(ctx: _Ctx) -> CheckResult:
-    rng = np.random.default_rng(ctx.seed + 4)
-    worst_sym = worst_tri = worst_id = 0.0
-    for _ in range(100):
-        dists = []
-        for _ in range(3):
-            m = int(rng.integers(2, 7))
-            w = rng.random(m) + 0.05
-            dists.append(make_distribution(rng.normal(size=(m, 2)), w / w.sum()))
-        a, b, c = dists
-        ab, ba = w1_exact(a, b).cost, w1_exact(b, a).cost
-        bc, ac = w1_exact(b, c).cost, w1_exact(a, c).cost
-        worst_sym = max(worst_sym, abs(ab - ba))
-        worst_tri = max(worst_tri, ac - (ab + bc))
-        worst_id = max(worst_id, w1_exact(a, a).cost)
+    triples = ctx.transport[_PAIRS:]
+    worst_sym, worst_tri, worst_id = (max((0.0, *(t[j] for t in triples))) for j in range(3))
     ok = worst_sym <= 1e-10 and worst_tri <= 1e-10 and worst_id <= 1e-12
     return CheckResult(
         "transport_axioms", ok,
@@ -407,11 +400,121 @@ _CHECKS = (
 )
 
 
+def _agreement_pair(xa, pa, xb, pb) -> tuple:
+    """|LP − closed form| for W₁ and for W₂² on one pair of 1-D laws."""
+    a, b = make_distribution(xa, pa), make_distribution(xb, pb)
+    return (abs(w1_exact(a, b).cost - w_1d_closed_form(a, b, 1)),
+            abs(w2sq_exact(a, b).cost - w_1d_closed_form(a, b, 2)), 0.0)
+
+
+def _axiom_triple(*laws) -> tuple:
+    """W₁ symmetry gap, triangle excess and W₁(a, a) on one triple of planar laws."""
+    a, b, c = (make_distribution(x, p) for x, p in zip(laws[::2], laws[1::2]))
+    ab, ba = w1_exact(a, b).cost, w1_exact(b, a).cost
+    bc, ac = w1_exact(b, c).cost, w1_exact(a, c).cost
+    return abs(ab - ba), ac - (ab + bc), w1_exact(a, a).cost
+
+
+def _transport_trials(seed: int) -> list:
+    """The seed-only transport checks as (function, arrays) trials, in draw order:
+    transport_agreement's pairs from seed + 3, then transport_axioms' 100
+    triples from seed + 4."""
+    trials = []
+    rng = np.random.default_rng(seed + 3)
+    for _ in range(_PAIRS):
+        na, nb = int(rng.integers(2, 17)), int(rng.integers(2, 17))
+        wa, wb = rng.random(na) + 0.05, rng.random(nb) + 0.05
+        trials.append((_agreement_pair, (rng.normal(size=na), wa / wa.sum(),
+                                         rng.normal(size=nb), wb / wb.sum())))
+    rng = np.random.default_rng(seed + 4)
+    for _ in range(100):
+        laws = []
+        for _ in range(3):
+            m = int(rng.integers(2, 7))
+            w = rng.random(m) + 0.05
+            laws += [rng.normal(size=(m, 2)), w / w.sum()]
+        trials.append((_axiom_triple, laws))
+    return trials
+
+
+class _SharedTrials:
+    """Trials run on two cores: a forked helper claims them from the front
+    while the caller works, and `collect` claims them from the back.
+
+    The two processes share one anonymous mmap: a claim counter each, three
+    values per trial and a done flag per trial. A trial both claim at the
+    crossing is computed twice, to the same bits. Without os.fork, when it
+    fails, or while another Python thread is alive (it could hold a lock, such
+    as the shared solver's, across the fork), there is no helper and
+    `collect` claims every trial. Each check folds its trials' values with
+    max in draw order, so the split never changes a result.
+    """
+
+    def __init__(self, trials: list):
+        n = len(trials)
+        self.trials = trials
+        buf = mmap.mmap(-1, 16 + 25 * n)
+        self.claimed = np.frombuffer(buf, np.int64, 2)  # from the front, from the back
+        self.values = np.frombuffer(buf, np.float64, 3 * n, 16).reshape(n, 3)
+        self.done = np.frombuffer(buf, np.bool_, n, 16 + 24 * n)
+        self.pid = 0
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return
+        try:
+            self.pid = os.fork()
+        except OSError:
+            return
+        if self.pid == 0:  # the helper: it never returns, prints or runs exit handlers
+            try:
+                while (i := self.claimed[0]) < n - self.claimed[1]:
+                    self.claimed[0] = i + 1
+                    self._run(i)
+            finally:
+                os._exit(0)
+
+    def _run(self, i) -> None:
+        fn, args = self.trials[i]
+        self.values[i] = fn(*args)
+        self.done[i] = True
+
+    def collect(self) -> list:
+        """Every trial's values in draw order. Claims trials from the back
+        until it meets the helper, then stops the helper and runs whatever it
+        left undone, so the first error raised is the first in draw order."""
+        n = len(self.trials)
+        try:
+            while (j := n - 1 - self.claimed[1]) >= self.claimed[0]:
+                self.claimed[1] = n - j
+                self._run(j)
+        except Exception:
+            pass  # this trial stays undone and raises again below, in draw order
+        self.reap()
+        for i in np.flatnonzero(~self.done):
+            self._run(i)
+        return self.values.tolist()
+
+    def reap(self) -> None:
+        """Stop and reap the helper, if one is still unreaped."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+
 def run_checks(source: DiscreteDistribution, k: int, seed: int = 0,
                rel_tol: float = 1e-6) -> list:
-    """Full invariant suite on one scenario; returns CheckResults in a fixed order."""
-    ctx = _Ctx(source, k, seed, rel_tol)
-    return [fn(ctx) for fn in _CHECKS]
+    """Full invariant suite on one scenario; returns CheckResults in a fixed order.
+
+    The seed-only transport trials are drawn first and shared with a forked
+    helper process (see _SharedTrials), which is reaped before this returns
+    or raises.
+    """
+    trials = _SharedTrials(_transport_trials(seed))
+    try:
+        ctx = _Ctx(source, k, seed, rel_tol, trials)
+        return [fn(ctx) for fn in _CHECKS]
+    finally:
+        trials.reap()
 
 
 def report_text(results) -> str:
