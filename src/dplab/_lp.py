@@ -2,12 +2,12 @@
 
 Every dplab LP (transport, the constrained D(P) oracle, the augmented
 objective) is solved here by one direct call into scipy's HiGHS binding, with
-options built once, over nonnegative variables. Their equality constraints are
-all built from two shapes on a row-major r-by-c block of variables x[i, j]:
-its row sums and its (weighted) column sums. The builders emit those blocks
-straight from index arrays; callers place them with sparse.bmat, except the
-transport LP, whose stacked pair `marginals` builds in CSC form directly and
-caches per shape for the shapes the shared solver runs.
+options built once, over nonnegative variables. In all three, each variable
+sits in exactly two equality rows: a mass row with coefficient 1 and a
+marginal row below it with a weight (1, or minus a cell's mass). `incidence`
+builds every equality matrix in CSC form from those two row indices and the
+weight; `marginals`, the transport pair, is cached per shape for the shapes
+the shared solver runs.
 
 The HiGHS model and options are exactly those `linprog(method="highs",
 options=HIGHS_OPTIONS)` would pass, so the returned x is the same to the bit
@@ -82,53 +82,47 @@ class LPResult(NamedTuple):
     message: str
 
 
-def row_sums(r: int, c: int) -> sparse.csr_matrix:
-    """(r, r*c) block whose row i is Σ_j x[i, j]; equals kron(I_r, 1_c^T)."""
-    return sparse.csr_matrix(
-        (np.ones(r * c), (np.repeat(np.arange(r), c), np.arange(r * c))), shape=(r, r * c)
-    )
+def incidence(first, second, weight, n_rows: int) -> sparse.csc_array:
+    """(n_rows, len(first)) matrix whose column j holds 1 at row first[j] and
+    weight[j] at row second[j] > first[j].
 
-
-def col_sums(r: int, c: int, weights=None) -> sparse.csr_matrix:
-    """(c, r*c) block whose row j is Σ_i weights[i] x[i, j]; equals kron(w^T, I_c).
-
-    Unit weights by default. Zero weights store no entry.
+    weight may be a scalar. A zero weight stores no entry, so every column
+    holds one or two entries, the 1 first; indices are int32.
     """
-    w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
-    block = sparse.csr_matrix(
-        (np.repeat(w, c), (np.tile(np.arange(c), r), np.arange(r * c))), shape=(c, r * c)
-    )
-    block.eliminate_zeros()
-    return block
+    n = len(first)
+    indices = np.empty(2 * n, dtype=np.int32)
+    indices[0::2] = first
+    indices[1::2] = second
+    data = np.ones(2 * n)
+    data[1::2] = weight
+    a = sparse.csc_array((data, indices, np.arange(0, 2 * n + 1, 2, dtype=np.int32)),
+                         shape=(n_rows, n))
+    a.eliminate_zeros()
+    return a
 
 
 def marginals(r: int, c: int) -> sparse.csc_array:
     """(r+c, r*c) row sums stacked over column sums, in CSC form.
 
     Column i*c + j holds two unit entries, at rows i and r + j; equals
-    csc_array(bmat([[row_sums(r, c)], [col_sums(r, c)]])) entry for entry.
-    Its arrays are read-only. Shapes the shared solver runs (r*c at most
-    SHARED_MAX_COLS) are built once and shared by every caller, the 64 most
-    recently used kept; a larger shape is built per call, in well under a
-    millisecond against its solve's tenths of a second, so it is freed with
-    its LP.
+    kron(I_r, 1_c^T) stacked over kron(1_r^T, I_c). Its arrays are read-only.
+    Shapes the shared solver runs (r*c at most SHARED_MAX_COLS) are built once
+    and shared by every caller, the 64 most recently used kept; a larger shape
+    is built per call, in a few milliseconds against its solve's tenths of a
+    second, so it is freed with its LP.
     """
     return (_marginals_cached if r * c <= SHARED_MAX_COLS else _build_marginals)(r, c)
 
 
 def _build_marginals(r: int, c: int) -> sparse.csc_array:
-    indices = np.empty(2 * r * c, dtype=np.int32)
-    indices[0::2] = np.repeat(np.arange(r, dtype=np.int32), c)
-    indices[1::2] = np.tile(np.arange(r, r + c, dtype=np.int32), r)
-    indptr = np.arange(0, 2 * r * c + 1, 2, dtype=np.int32)
-    data = np.ones(2 * r * c)
-    for part in (indices, indptr, data):
+    a = incidence(np.repeat(np.arange(r, dtype=np.int32), c),
+                  np.tile(np.arange(r, r + c, dtype=np.int32), r), 1.0, r + c)
+    for part in (a.indices, a.indptr, a.data):
         part.flags.writeable = False
-    return sparse.csc_array((data, indices, indptr), shape=(r + c, r * c))
+    return a
 
 
 _marginals_cached = functools.lru_cache(maxsize=64)(_build_marginals)
-marginals.cache_info = _marginals_cached.cache_info
 
 
 def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:

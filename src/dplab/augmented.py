@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from . import _lp
 from ._format import csv_text
@@ -135,16 +134,13 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
 
     nq = nv * m
     c = np.concatenate([(lam * pv[:, None] * dev).reshape(-1), gamma_cost.reshape(-1)])
-    a_eq = sparse.bmat(
-        [
-            # each value row of q is a pmf
-            [_lp.row_sums(nv, m), None],
-            # gamma row sums realize the Ŷ law induced by q
-            [sparse.diags(-np.repeat(pv, m)), _lp.row_sums(nq, n)],
-            # gamma column sums match the fixed Y law
-            [None, _lp.col_sums(nq, n)],
-        ],
-        format="csr",
+    # q(v, j) sits in pmf row v and in Ŷ-law row nv + v*m + j with weight
+    # -p(v); gamma(t, i) in Ŷ-law row nv + t and in Y-law row nv + nq + i
+    a_eq = _lp.incidence(
+        np.concatenate([np.repeat(np.arange(nv), m), nv + np.repeat(np.arange(nq), n)]),
+        np.concatenate([nv + np.arange(nq), np.tile(np.arange(nv + nq, nv + nq + n), nq)]),
+        np.concatenate([-np.repeat(pv, m), np.ones(nq * n)]),
+        nv + nq + n,
     )
     b_eq = np.concatenate([np.ones(nv), np.zeros(nq), source.probs])
     res = _lp.solve(c, a_eq, b_eq)

@@ -438,25 +438,25 @@ def _transport_trials(seed: int) -> list:
 
 
 class _SharedTrials:
-    """Trials run on two cores: a forked helper claims them from the front
-    while the caller works, and `collect` claims them from the back.
+    """Trials run on two cores: a forked helper runs them from the front
+    while the caller works, and `collect` runs them from the back.
 
-    The two processes share one anonymous mmap: a claim counter each, three
-    values per trial and a done flag per trial. A trial both claim at the
-    crossing is computed twice, to the same bits. Without os.fork, when it
-    fails, or while another Python thread is alive (it could hold a lock, such
-    as the shared solver's, across the fork), there is no helper and
-    `collect` claims every trial. Each check folds its trials' values with
-    max in draw order, so the split never changes a result.
+    The two processes share one anonymous mmap: three values per trial and a
+    done flag per trial, which is the whole protocol. Each side stops at the
+    first trial it finds done; a trial both start at the crossing is computed
+    twice, to the same bits. Without os.fork, when it fails, or while another
+    Python thread is alive (it could hold a lock, such as the shared solver's,
+    across the fork), there is no helper and `collect` runs every trial. Each
+    check folds its trials' values with max in draw order, so the split never
+    changes a result.
     """
 
     def __init__(self, trials: list):
         n = len(trials)
         self.trials = trials
-        buf = mmap.mmap(-1, 16 + 25 * n)
-        self.claimed = np.frombuffer(buf, np.int64, 2)  # from the front, from the back
-        self.values = np.frombuffer(buf, np.float64, 3 * n, 16).reshape(n, 3)
-        self.done = np.frombuffer(buf, np.bool_, n, 16 + 24 * n)
+        buf = mmap.mmap(-1, 25 * n)
+        self.values = np.frombuffer(buf, np.float64, 3 * n).reshape(n, 3)
+        self.done = np.frombuffer(buf, np.bool_, n, 24 * n)
         self.pid = 0
         if not hasattr(os, "fork") or threading.active_count() > 1:
             return
@@ -466,9 +466,7 @@ class _SharedTrials:
             return
         if self.pid == 0:  # the helper: it never returns, prints or runs exit handlers
             try:
-                while (i := self.claimed[0]) < n - self.claimed[1]:
-                    self.claimed[0] = i + 1
-                    self._run(i)
+                self._run_until_done(range(n))
             finally:
                 os._exit(0)
 
@@ -477,15 +475,18 @@ class _SharedTrials:
         self.values[i] = fn(*args)
         self.done[i] = True
 
+    def _run_until_done(self, order) -> None:
+        for i in order:
+            if self.done[i]:
+                return
+            self._run(i)
+
     def collect(self) -> list:
-        """Every trial's values in draw order. Claims trials from the back
-        until it meets the helper, then stops the helper and runs whatever it
+        """Every trial's values in draw order. Runs trials from the back
+        until it meets one done, then stops the helper and runs whatever it
         left undone, so the first error raised is the first in draw order."""
-        n = len(self.trials)
         try:
-            while (j := n - 1 - self.claimed[1]) >= self.claimed[0]:
-                self.claimed[1] = n - j
-                self._run(j)
+            self._run_until_done(range(len(self.trials) - 1, -1, -1))
         except Exception:
             pass  # this trial stays undone and raises again below, in draw order
         self.reap()

@@ -204,17 +204,11 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
 
     nq = k * m
     c = np.concatenate([cq.reshape(-1), np.zeros(n * m)])
-    a_eq = sparse.bmat(
-        [
-            # each decoder row a pmf
-            [_lp.row_sums(k, m), None],
-            # coupling rows reproduce p_X
-            [None, _lp.row_sums(n, m)],
-            # coupling columns reproduce the decoder's output law
-            [-_lp.col_sums(k, m, pz), _lp.col_sums(n, m)],
-        ],
-        format="csr",
-    )
+    # q(z, j) sits in pmf row z and in output-law row k + n + j with weight
+    # -p(z); pi(i, j) in p_X row k + i and in output-law row k + n + j
+    a_eq = _lp.incidence(np.repeat(np.arange(k + n), m),
+                         np.tile(np.arange(k + n, k + n + m), k + n),
+                         np.repeat(np.concatenate([-pz, np.ones(n)]), m), k + n + m)
     b_eq = np.concatenate([np.ones(k), source.probs, np.zeros(m)])
     a_ub = sparse.csr_matrix(np.concatenate([np.zeros(nq), sqx.reshape(-1)])[None, :])
     res = _lp.solve(c, a_eq, b_eq, a_ub, [p_budget])

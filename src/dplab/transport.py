@@ -51,8 +51,8 @@ def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
     if sb > 0:
         b = b * (sa / sb)
 
-    # Row-sum block stacked over column-sum block; one equality is redundant
-    # but consistent, which HiGHS presolve handles.
+    # pi[i, j] sits in row-marginal row i and column-marginal row nr + j; one
+    # equality is redundant but consistent, which HiGHS presolve handles.
     res = _lp.solve(c.reshape(-1), _lp.marginals(nr, nc), np.concatenate([a, b]))
     if res.status != 0:
         raise ValueError(f"transport LP failed: {res.message}")

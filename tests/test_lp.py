@@ -5,10 +5,10 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
 from dplab import _lp
-from dplab._lp import CERT_TOL, HIGHS_OPTIONS, certificate, col_sums, marginals, row_sums
+from dplab._lp import CERT_TOL, HIGHS_OPTIONS, certificate, incidence, marginals
 from dplab.augmented import solve_augmented
-from dplab.codec import exhaustive_optimal_encoder, perceptual_decoder_for
-from dplab.distcore import builtin_source, make_distribution
+from dplab.codec import Encoder, exhaustive_optimal_encoder, perceptual_decoder_for
+from dplab.distcore import builtin_source, joint_from_encoder, make_distribution
 from dplab.tradeoff import constrained_oracle, default_oracle_support
 from dplab.transport import w1_exact, w2sq_exact
 
@@ -16,29 +16,47 @@ U4 = builtin_source("u4")
 GAUSS33 = builtin_source("gauss33")
 
 
-def test_blocks_match_kron_definitions():
-    r, c = 3, 4
-    assert np.array_equal(row_sums(r, c).toarray(), np.kron(np.eye(r), np.ones((1, c))))
-    assert np.array_equal(col_sums(r, c).toarray(), np.kron(np.ones((1, r)), np.eye(c)))
-    w = np.array([0.5, 0.0, 0.25])
-    block = col_sums(r, c, w)
-    assert np.array_equal(block.toarray(), np.kron(w[None, :], np.eye(c)))
-    assert block.nnz == 2 * c  # zero weights store no entry
+def _dense_incidence(first, second, weight, n_rows):
+    """incidence by its definition: column j is e_first[j] + weight[j] e_second[j]."""
+    weight = np.broadcast_to(np.asarray(weight, dtype=np.float64), (len(first),))
+    dense = np.zeros((n_rows, len(first)))
+    for j, (f, s, w) in enumerate(zip(first, second, weight)):
+        dense[f, j] = 1.0
+        dense[s, j] = w
+    return dense
+
+
+@pytest.mark.parametrize("weight", [np.array([0.5, 0.0, -0.25, 1.0, -0.0]), 1.0, -0.5],
+                         ids=["array", "unit", "scalar"])
+def test_incidence_matches_dense_definition(weight):
+    first, second = np.array([0, 0, 1, 2, 3]), np.array([4, 1, 5, 4, 5])
+    built = incidence(first, second, weight, 6)
+    dense = _dense_incidence(first, second, weight, 6)
+    assert built.shape == (6, 5) and built.format == "csc"
+    assert np.array_equal(built.toarray(), dense)
+    # zero weights (of either sign) store no entry; the 1 comes first in each column
+    assert built.nnz == np.count_nonzero(dense)
+    assert np.array_equal(built.data[built.indptr[:-1]], np.ones(5))
+    assert built.has_sorted_indices
+    for name in ("indptr", "indices"):
+        assert getattr(built, name).dtype == np.int32, name
 
 
 @pytest.mark.parametrize("r, c", [(1, 1), (1, 5), (4, 1), (3, 4), (6, 6), (33, 20), (96, 90)])
 def test_marginals_match_stacked_blocks(r, c):
-    cached = marginals.cache_info().currsize
+    cached = _lp._marginals_cached.cache_info().currsize
     built = marginals(r, c)
-    ref = sparse.csc_array(sparse.bmat([[row_sums(r, c)], [col_sums(r, c)]]))
+    ref = sparse.csc_array(np.vstack([np.kron(np.eye(r), np.ones((1, c))),
+                                      np.kron(np.ones((1, r)), np.eye(c))]))
     assert built.shape == ref.shape
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(built, name), getattr(ref, name)), name
+        assert getattr(built, name).dtype == getattr(ref, name).dtype, name
     if r * c > _lp.SHARED_MAX_COLS:
         # a shape the shared solver does not run is built per call, read-only
         # like a cached one, and never held by the cache
         assert marginals(r, c) is not built
-        assert marginals.cache_info().currsize == cached
+        assert _lp._marginals_cached.cache_info().currsize == cached
         for name in ("indptr", "indices", "data"):
             assert not getattr(built, name).flags.writeable, name
 
@@ -118,6 +136,99 @@ def test_solve_bit_identical_to_linprog(monkeypatch, case):
         assert res.x.tobytes() == ref.x.tobytes()
     if case.startswith("oracle"):
         assert len(args) == 5  # the perception row is an inequality
+
+
+def test_equality_columns_hold_a_unit_and_a_weight(monkeypatch):
+    # every dplab variable sits in two equality rows: 1 at the smaller row, and
+    # a weight below it unless that weight is zero
+    for name, run in sorted(_lp_cases().items()):
+        for args in _recorded_lps(monkeypatch, run):
+            a = args[1].tocsc()
+            counts = np.diff(a.indptr)
+            assert set(counts.tolist()) <= {1, 2}, name
+            assert np.array_equal(a.data[a.indptr[:-1]], np.ones(a.shape[1])), name
+            two = np.flatnonzero(counts == 2)
+            assert (a.indices[a.indptr[two]] < a.indices[a.indptr[two] + 1]).all(), name
+
+
+def _row_sums(r, c):
+    """(r, r*c) block whose row i is Σ_j x[i, j]: the reference assemblies' block."""
+    return sparse.csr_matrix(
+        (np.ones(r * c), (np.repeat(np.arange(r), c), np.arange(r * c))), shape=(r, r * c)
+    )
+
+
+def _col_sums(r, c, weights=None):
+    """(c, r*c) block whose row j is Σ_i weights[i] x[i, j]; zero weights store no entry."""
+    w = np.ones(r) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
+    block = sparse.csr_matrix(
+        (np.repeat(w, c), (np.tile(np.arange(c), r), np.arange(r * c))), shape=(c, r * c)
+    )
+    block.eliminate_zeros()
+    return block
+
+
+def _oracle_reference(source, enc, b_eq):
+    """constrained_oracle's equality block, stitched from blocks with sparse.bmat."""
+    n, k = source.n, enc.K
+    m = len(b_eq) - k - n
+    pz = joint_from_encoder(source, enc).sum(axis=1)
+    return sparse.bmat([[_row_sums(k, m), None],
+                        [None, _row_sums(n, m)],
+                        [-_col_sums(k, m, pz), _col_sums(n, m)]], format="csr")
+
+
+def _augmented_reference(source, enc, gd, b_eq):
+    """solve_augmented's equality block, stitched from blocks with sparse.bmat."""
+    values, val_of_z = np.unique(gd.table, axis=0, return_inverse=True)
+    pv = np.zeros(values.shape[0])
+    np.add.at(pv, val_of_z.reshape(-1), joint_from_encoder(source, enc).sum(axis=1))
+    nv, n = len(pv), source.n
+    nq = len(b_eq) - nv - n
+    m = nq // nv
+    return sparse.bmat([[_row_sums(nv, m), None],
+                        [sparse.diags(-np.repeat(pv, m)), _row_sums(nq, n)],
+                        [None, _col_sums(nq, n)]], format="csr")
+
+
+def _handed_to_highs(a_eq, a_ub=None):
+    """The CSC matrix _lp.solve passes to HiGHS for these constraint blocks."""
+    return a_eq.tocsc() if a_ub is None else sparse.vstack([a_ub, a_eq], format="csc")
+
+
+def _assert_same_csc(got, ref):
+    assert got.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        part, want = getattr(got, name), getattr(ref, name)
+        assert part.dtype == want.dtype, name
+        assert part.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("scenario", ["u4-r1", "gauss33-r2", "planar6-r1", "u4-empty-cell"])
+def test_oracle_and_augmented_matrices_match_block_assembly(monkeypatch, scenario):
+    source = {"u4-r1": U4, "gauss33-r2": GAUSS33, "planar6-r1": _planar(6, 6),
+              "u4-empty-cell": U4}[scenario]
+    if scenario == "u4-empty-cell":
+        enc = Encoder(np.array([0, 0, 2, 2]), 3)
+        gd = None
+        runs = [lambda p=p: constrained_oracle(U4, enc, p, U4.points) for p in (0.0, 0.1, 1.0)]
+    else:
+        enc, gd, d_d = exhaustive_optimal_encoder(source, 2 if scenario.endswith("r1") else 4)
+        sup = default_oracle_support(source, gd, perceptual_decoder_for(source, enc))
+        runs = [lambda f=f: constrained_oracle(source, enc, f * d_d, sup) for f in (0.0, 0.5)]
+        runs += [lambda lam=lam: solve_augmented(source, enc, gd, lam) for lam in (0.5, 2.0)]
+    for run in runs:
+        # the first LP is the oracle's or the augmented one; W1 LPs follow the latter
+        _, a_eq, b_eq, *ineq = _recorded_lps(monkeypatch, run)[0]
+        if ineq:  # the oracle, whose perception row is the one inequality
+            ref = _oracle_reference(source, enc, b_eq)
+        else:
+            ref = _augmented_reference(source, enc, gd, b_eq)
+        _assert_same_csc(a_eq.tocsc(), ref.tocsc())
+        _assert_same_csc(_handed_to_highs(a_eq, *ineq[:1]), _handed_to_highs(ref, *ineq[:1]))
+    if scenario == "u4-empty-cell":
+        # the empty cell's decoder row sits in its pmf row alone
+        assert (np.diff(a_eq.tocsc().indptr) == 1).sum() == U4.points.shape[0]
 
 
 def _small_transport():
