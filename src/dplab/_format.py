@@ -26,13 +26,10 @@ def json_text(obj, indent: int = 0) -> str:
         parts = [f'{inner}"{k}": {json_text(v, indent + 2)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
+        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
-            return "[" + ", ".join(_scalar(v) for v in seq) + "]"
-        parts = [f"{inner}{json_text(v, indent + 2)}" for v in seq]
+            return "[" + ", ".join(_scalar(v) for v in obj) + "]"
+        parts = [f"{inner}{json_text(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     return _scalar(obj)
 

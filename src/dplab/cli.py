@@ -5,6 +5,9 @@ deterministic: floats carry 17 significant digits, CSV uses LF line endings,
 and rows follow grid order, so identical argv + seed reproduce files byte for
 byte.
 
+Each cmd_* handler only computes (text, exit code); `main` alone loads the
+source, writes the artifact and maps every ValueError to exit 2.
+
 Exit codes: 0 success, 1 failed verification, 2 usage error.
 """
 from __future__ import annotations
@@ -54,10 +57,14 @@ def load_source(text: str) -> DiscreteDistribution:
             raw = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read source file {text!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"cannot read source file {text!r}: not UTF-8 text") from None
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed source JSON in {text!r}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"malformed source JSON in {text!r}: nesting too deep") from None
     return source_from_json(obj)
 
 
@@ -134,48 +141,38 @@ def _rows_json(columns, rows) -> str:
     return _json_artifact([dict(zip(columns, r)) for r in rows])
 
 
-def cmd_mmse(args: argparse.Namespace) -> int:
-    enc, gd = build_codec(args, load_source(args.source))
+def cmd_mmse(args: argparse.Namespace, source: DiscreteDistribution) -> Tuple[str, int]:
+    enc, gd = build_codec(args, source)
     payload = codec_to_json(enc, gd=gd)
-    _emit(_json_artifact(payload), args.out)
-    return 0
+    return _json_artifact(payload), 0
 
 
-def cmd_perceptual(args: argparse.Namespace) -> int:
-    source = load_source(args.source)
+def cmd_perceptual(args: argparse.Namespace, source: DiscreteDistribution) -> Tuple[str, int]:
     enc, _ = build_codec(args, source)
     payload = codec_to_json(enc, gp=perceptual_decoder_for(source, enc))
-    _emit(_json_artifact(payload), args.out)
-    return 0
+    return _json_artifact(payload), 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    source = load_source(args.source)
+def cmd_sweep(args: argparse.Namespace, source: DiscreteDistribution) -> Tuple[str, int]:
     alphas = parse_alpha_range(args.alphas)
     enc, gd = build_codec(args, source)
     gp = perceptual_decoder_for(source, enc)
     points = sweep(source, enc, gd, gp, list(alphas))
     if args.format == "csv":
-        _emit(sweep_to_csv(points), args.out)
-    else:
-        _emit(_rows_json(SWEEP_COLUMNS, (p.row() for p in points)), args.out)
-    return 0
+        return sweep_to_csv(points), 0
+    return _rows_json(SWEEP_COLUMNS, (p.row() for p in points)), 0
 
 
-def cmd_theorem2(args: argparse.Namespace) -> int:
-    source = load_source(args.source)
+def cmd_theorem2(args: argparse.Namespace, source: DiscreteDistribution) -> Tuple[str, int]:
     lambdas = parse_lambda_list(args.lambdas)
     enc, gd = build_codec(args, source)
     solutions = phase_sweep(source, enc, gd, list(lambdas))
     if args.format == "csv":
-        _emit(phase_to_csv(solutions), args.out)
-    else:
-        _emit(_rows_json(PHASE_COLUMNS, (s.row() for s in solutions)), args.out)
-    return 0
+        return phase_to_csv(solutions), 0
+    return _rows_json(PHASE_COLUMNS, (s.row() for s in solutions)), 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    source = load_source(args.source)
+def cmd_oracle(args: argparse.Namespace, source: DiscreteDistribution) -> Tuple[str, int]:
     p_budget = args.perception
     check_budget(p_budget)
     enc, gd = build_codec(args, source)
@@ -205,16 +202,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "col_points": out_law.points.tolist(),
             "col_probs": out_law.probs.tolist(),
         }
-    _emit(_json_artifact(payload), args.out)
-    return 0
+    return _json_artifact(payload), 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    source = load_source(args.source)
+def cmd_verify(args: argparse.Namespace, source: DiscreteDistribution) -> Tuple[str, int]:
     kwargs = {} if args.tol is None else {"rel_tol": args.tol}
     results = run_checks(source, 2 ** args.rate, seed=args.seed, **kwargs)
-    _emit(report_text(results), args.out)
-    return 0 if all(r.passed for r in results) else 1
+    return report_text(results), 0 if all(r.passed for r in results) else 1
 
 
 def _rate(text: str) -> int:
@@ -317,7 +311,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        text, code = args.handler(args, load_source(args.source))
+        _emit(text, args.out)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

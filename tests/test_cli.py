@@ -251,6 +251,28 @@ def test_codec_stdout_sha256(capsys, tmp_path, argv, n, sha256):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("rate", [1, 2])
+def test_theorem2_json_rows(capsys, rate):
+    # the JSON rows carry the CSV artifact's fields: at rate 1 the golden,
+    # at rate 2 the CSV of the same run; floats by value, flag a JSON string
+    argv = ["theorem2", "--source", "builtin:gauss33", "--rate", str(rate)]
+    if rate == 1:
+        csv = THEOREM2_GAUSS33_GOLDEN
+    else:
+        assert main(argv) == 0
+        csv = capsys.readouterr().out
+    header, *lines = csv.splitlines()
+    columns = header.split(",")
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == len(lines) == 7
+    for row, line in zip(rows, lines):
+        assert list(row) == columns
+        *numbers, flag = line.split(",")
+        assert [row[c] for c in columns[:-1]] == [float(v) for v in numbers]
+        assert isinstance(row["flag"], str) and row["flag"] == flag == "ok"
+
+
 def test_sweep_json_rows(capsys):
     assert main(["sweep", "--alphas", "0:1:0.5", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -433,12 +455,25 @@ def test_usage_errors_exit_2(capsys, tmp_path):
      "unknown builtin source 'nope' (have: u2, u4, gauss33)"),
     (["oracle", "--perception", "nan", "--rate", "9"], "perception must be finite"),
     (["theorem2", "--lambdas", "2,1", "--rate", "9"], "lambda grid must be sorted ascending"),
-], ids=["sweep-alphas", "theorem2-source", "oracle-budget", "theorem2-lambdas"])
+    (["sweep", "--alphas", "nan:1:0.1", "--rate", "9"], "alpha range must be finite"),
+], ids=["sweep-alphas", "theorem2-source", "oracle-budget", "theorem2-lambdas",
+        "sweep-alphas-nan"])
 def test_first_error_wins(capsys, argv, err):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("flag, err", [
+    ("--seed", "argument --seed: seed must be an integer"),
+    ("--tol", "argument --tol: tol must be a number"),
+])
+def test_non_numeric_seed_and_tol(capsys, flag, err):
+    assert main(["sweep", flag, "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip("\n").split("\n")[-1].endswith(err)
 
 
 def test_mmse_near_duplicate_points_fill_every_cell(capsys, tmp_path):
@@ -534,6 +569,18 @@ def test_source_error_messages(capsys, tmp_path):
     bad.write_text("{oops")
     main(["mmse", "--source", str(bad)])
     assert "malformed source JSON" in capsys.readouterr().err
+    # json.loads recurses once per level; the depth must not escape as a
+    # RecursionError traceback, nor bytes that are not UTF-8 unnamed
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"points": ' + "[" * 1000 + "]" * 1000 + ', "probs": [1.0]}')
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"points": [[0.0]], "probs": [1.0], "name": "\xff"}')
+    for path, err in [(deep, f"malformed source JSON in {str(deep)!r}: nesting too deep"),
+                      (latin, f"cannot read source file {str(latin)!r}: not UTF-8 text")]:
+        assert main(["mmse", "--source", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
 
 def test_parser_defaults():
