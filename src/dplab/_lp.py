@@ -24,6 +24,7 @@ of linprog's looser feasibility check.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from typing import NamedTuple, Optional
 
@@ -70,8 +71,19 @@ def _solver() -> _highs._Highs:
 
 
 _OPTIONS = _highs_options()
+_LARGE_MATRIX_VALUE = _OPTIONS.large_matrix_value
+_INFINITE_COST = _OPTIONS.infinite_cost
 _SHARED = _solver()
 _SHARED_LOCK = threading.Lock()
+
+# Column bounds x >= 0 and all-continuous integrality, sliced for the shared
+# solver's LPs, and an empty b_ub: per-call constants made once.
+_LOWER = np.zeros(SHARED_MAX_COLS)
+_UPPER = np.full(SHARED_MAX_COLS, np.inf)
+_CONTINUOUS = np.zeros(SHARED_MAX_COLS, dtype=np.int32)
+_NO_ROWS = np.zeros(0)
+for _part in (_LOWER, _UPPER, _CONTINUOUS, _NO_ROWS):
+    _part.flags.writeable = False
 
 
 class LPResult(NamedTuple):
@@ -97,7 +109,8 @@ def incidence(first, second, weight, n_rows: int) -> sparse.csc_array:
     data[1::2] = weight
     a = sparse.csc_array((data, indices, np.arange(0, 2 * n + 1, 2, dtype=np.int32)),
                          shape=(n_rows, n))
-    a.eliminate_zeros()
+    if (np.asarray(weight) == 0).any():
+        a.eliminate_zeros()
     return a
 
 
@@ -141,26 +154,39 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     """
     c = np.asarray(c, dtype=np.float64)
     b_eq = np.asarray(b_eq, dtype=np.float64)
-    b_ub = np.asarray([] if b_ub is None else b_ub, dtype=np.float64)
+    b_ub = _NO_ROWS if b_ub is None else np.asarray(b_ub, dtype=np.float64)
     a = a_eq.tocsc() if a_ub is None else sparse.vstack([a_ub, a_eq], format="csc")
-    for name, v in (("c", c), ("b_eq", b_eq), ("b_ub", b_ub), ("constraint matrix", a.data)):
-        if not np.isfinite(v).all():
+    # a largest magnitude is NaN or inf exactly when some entry is
+    top_c, top_a = np.abs(c).max(initial=0.0), np.abs(a.data).max(initial=0.0)
+    for name, finite in (("c", math.isfinite(top_c)), ("b_eq", np.isfinite(b_eq).all()),
+                         ("b_ub", np.isfinite(b_ub).all()),
+                         ("constraint matrix", math.isfinite(top_a))):
+        if not finite:
             raise ValueError(f"LP {name} must be finite")
-    for name, v, limit in (("constraint matrix entry", a.data, "large_matrix_value"),
-                           ("cost", c, "infinite_cost")):
-        bound = getattr(_OPTIONS, limit)
-        top = np.abs(v).max(initial=0.0)
+    for name, top, limit, bound in (
+            ("constraint matrix entry", top_a, "large_matrix_value", _LARGE_MATRIX_VALUE),
+            ("cost", top_c, "infinite_cost", _INFINITE_COST)):
         if top >= bound:
             raise ValueError(f"LP {name} {top:.3g} reaches HiGHS {limit} {bound:.3g}")
     n_row, n_col = a.shape
-    highs = _SHARED if n_col <= SHARED_MAX_COLS else _solver()
+    if n_col <= SHARED_MAX_COLS:
+        highs = _SHARED
+        lower, upper, integrality = _LOWER[:n_col], _UPPER[:n_col], _CONTINUOUS[:n_col]
+    else:
+        highs = _solver()
+        lower, upper = np.zeros(n_col), np.full(n_col, np.inf)
+        integrality = np.zeros(n_col, dtype=np.int32)
+    if len(b_ub):
+        row_lower = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
+        row_upper = np.concatenate([b_ub, b_eq])
+    else:
+        row_lower = row_upper = b_eq
     with _SHARED_LOCK:  # the shared instance serves one solve at a time
         # no optimum: linprog's status code and message
         if highs.passModel(
                 n_col, n_row, a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
-                0.0, c, np.zeros(n_col), np.full(n_col, np.inf),
-                np.concatenate([np.full(len(b_ub), -np.inf), b_eq]), np.concatenate([b_ub, b_eq]),
-                a.indptr, a.indices, a.data, np.zeros(n_col, dtype=np.int32),
+                0.0, c, lower, upper, row_lower, row_upper,
+                a.indptr, a.indices, a.data, integrality,
         ) == _highs.HighsStatus.kError:
             model_status = _highs.HighsModelStatus.kModelError
             return _failed(model_status, highs.modelStatusToString(model_status))
@@ -182,7 +208,7 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     del solution
 
     primal, dual, gap = certificate(a, c, b_eq, b_ub, x, y)
-    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+    scale = max(1.0, float(top_c))
     if not (primal <= CERT_TOL and dual <= CERT_TOL * scale and gap <= CERT_TOL * scale):
         return LPResult(None, 4, f"LP certificate failed: primal residual {primal:.3g}, "
                                  f"dual infeasibility {dual:.3g}, duality gap {gap:.3g} "
@@ -207,8 +233,8 @@ def certificate(a, c, b_eq, b_ub, x, y) -> tuple:
         return (np.nan,) * 3
     m_ub = len(b_ub)
     n_row, n_col = a.shape
-    rhs = np.concatenate([b_ub, b_eq])
-    col = np.repeat(np.arange(n_col), np.diff(a.indptr))  # a is CSC
+    rhs = np.concatenate([b_ub, b_eq]) if m_ub else b_eq
+    col = np.repeat(np.arange(n_col), a.indptr[1:] - a.indptr[:-1])  # a is CSC
     terms = a.data * x[col]
     ax = np.bincount(a.indices, weights=terms, minlength=n_row)
     residual = (ax - rhs) / np.maximum(

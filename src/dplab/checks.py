@@ -41,10 +41,12 @@ from .distcore import (
     sq_dists,
 )
 from .tradeoff import (
+    TradeoffPoint,
+    _measure,
     constrained_oracle,
     default_oracle_support,
     dp_derivatives,
-    sweep,
+    mmse_endpoint,
     universal_encoder_check,
 )
 from .transport import w1_exact, w2sq_exact, w_1d_closed_form
@@ -52,6 +54,7 @@ from .transport import w1_exact, w2sq_exact, w_1d_closed_form
 UNIVERSALITY_CAP = 1024  # K^n above this -> the brute-force check is skipped
 _PHASE_LAMBDAS = (0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0)
 _PAIRS = 50  # transport_agreement's 1-D pairs; transport_axioms' triples follow them
+_ALPHAS = [i / 100 for i in range(101)]  # the sweep behind the interpolation checks
 
 
 @dataclass(frozen=True)
@@ -75,25 +78,25 @@ class _Ctx:
     """Shared scenario state so each check re-derives only what it asserts."""
 
     def __init__(self, source: DiscreteDistribution, k: int, seed: int, rel_tol: float,
-                 trials: _SharedTrials):
+                 codec: tuple, trials: _SharedTrials):
         self._trials = trials
         self.source = source
         self.k = k
         self.seed = seed
         self.rel_tol = rel_tol
-        self.enc, self.gd, self.d_d = exhaustive_optimal_encoder(source, k)
-        self.gp = perceptual_decoder_for(source, self.enc)
-        self.alphas101 = [i / 100 for i in range(101)]
-        self.points101 = sweep(source, self.enc, self.gd, self.gp, self.alphas101)
+        self.enc, self.gd, self.d_d, self.gp = codec
+        # sweep() on _ALPHAS, its points measured by the trials of segment 0
+        d_d, self.p_d = mmse_endpoint(source, self.enc, self.gd)
+        self.points101 = [TradeoffPoint.measured(a, d, p, d_d, self.p_d)
+                          for a, (d, p, _) in zip(_ALPHAS, trials.collect(0))]
         # i/100 and (i/5)/20 are the same double for i = 0, 5, ..., 100
         self.points21 = self.points101[::5]
-        self.p_d = self.points101[0].p_d
         self.phase = phase_sweep(source, self.enc, self.gd, _PHASE_LAMBDAS)
 
     @functools.cached_property
     def transport(self) -> list:
         """Each seed-only transport trial's values, in draw order."""
-        return self._trials.collect()
+        return list(self._trials.collect(1))
 
 
 def _check_canonical_support(ctx: _Ctx) -> CheckResult:
@@ -313,7 +316,7 @@ def _check_derivative_consistency(ctx: _Ctx) -> CheckResult:
             "derivative_consistency", True,
             "skipped: D_d = 0 leaves no curve to differentiate", skipped=True,
         )
-    alphas = ctx.alphas101
+    alphas = _ALPHAS
     d = [p.d_measured for p in ctx.points101]
     p = [p.p_measured for p in ctx.points101]
     worst = 0.0
@@ -400,6 +403,11 @@ _CHECKS = (
 )
 
 
+def _sweep_point(source, enc, gd, gp, alpha) -> tuple:
+    """D(α) and P(α) of the interpolated decoder, and an unused 0."""
+    return (*_measure(source, enc, gd, gp, alpha), 0.0)
+
+
 def _agreement_pair(xa, pa, xb, pb) -> tuple:
     """|LP − closed form| for W₁ and for W₂² on one pair of 1-D laws."""
     a, b = make_distribution(xa, pa), make_distribution(xb, pb)
@@ -438,22 +446,26 @@ def _transport_trials(seed: int) -> list:
 
 
 class _SharedTrials:
-    """Trials run on two cores: a forked helper runs them from the front
-    while the caller works, and `collect` runs them from the back.
+    """Trials run on two cores: a forked helper runs them from the front while
+    the caller works, and `collect` runs them from the back.
 
-    The two processes share one anonymous mmap: three values per trial and a
-    done flag per trial, which is the whole protocol. Each side stops at the
-    first trial it finds done; a trial both start at the crossing is computed
-    twice, to the same bits. Without os.fork, when it fails, or while another
-    Python thread is alive (it could hold a lock, such as the shared solver's,
-    across the fork), there is no helper and `collect` runs every trial. Each
-    check folds its trials' values with max in draw order, so the split never
-    changes a result.
+    The trials come in segments, which the helper runs one after another and
+    the caller collects one at a time. The two processes share one anonymous
+    mmap: three values per trial and a done flag per trial, which is the whole
+    protocol. Within a segment each side stops at the first trial it finds
+    done; a trial both start at the crossing is computed twice, to the same
+    bits. Without os.fork, when it fails, or while another Python thread is
+    alive (it could hold a lock, such as the shared solver's, across the
+    fork), there is no helper and `collect` runs every trial. The caller reads
+    each segment's values in draw order, so the split never changes a result.
     """
 
-    def __init__(self, trials: list):
-        n = len(trials)
-        self.trials = trials
+    def __init__(self, *segments: list):
+        self.trials, self.segments = [], []
+        for segment in segments:
+            self.segments.append(range(len(self.trials), len(self.trials) + len(segment)))
+            self.trials += segment
+        n = len(self.trials)
         buf = mmap.mmap(-1, 25 * n)
         self.values = np.frombuffer(buf, np.float64, 3 * n).reshape(n, 3)
         self.done = np.frombuffer(buf, np.bool_, n, 24 * n)
@@ -466,7 +478,8 @@ class _SharedTrials:
             return
         if self.pid == 0:  # the helper: it never returns, prints or runs exit handlers
             try:
-                self._run_until_done(range(n))
+                for segment in self.segments:
+                    self._run_until_done(segment)
             finally:
                 os._exit(0)
 
@@ -481,18 +494,21 @@ class _SharedTrials:
                 return
             self._run(i)
 
-    def collect(self) -> list:
-        """Every trial's values in draw order. Runs trials from the back
-        until it meets one done, then stops the helper and runs whatever it
-        left undone, so the first error raised is the first in draw order."""
+    def collect(self, s: int):
+        """Yield the values of segment s's trials in draw order. Runs the
+        segment from the back until it meets a trial done, then each trial
+        still undone just before its values are due, so the first error
+        raised, by a trial or by the caller between trials, is the one a
+        serial run would raise."""
+        segment = self.segments[s]
         try:
-            self._run_until_done(range(len(self.trials) - 1, -1, -1))
+            self._run_until_done(reversed(segment))
         except Exception:
             pass  # this trial stays undone and raises again below, in draw order
-        self.reap()
-        for i in np.flatnonzero(~self.done):
-            self._run(i)
-        return self.values.tolist()
+        for i in segment:
+            if not self.done[i]:
+                self._run(i)
+            yield self.values[i].tolist()
 
     def reap(self) -> None:
         """Stop and reap the helper, if one is still unreaped."""
@@ -506,13 +522,17 @@ def run_checks(source: DiscreteDistribution, k: int, seed: int = 0,
                rel_tol: float = 1e-6) -> list:
     """Full invariant suite on one scenario; returns CheckResults in a fixed order.
 
-    The seed-only transport trials are drawn first and shared with a forked
-    helper process (see _SharedTrials), which is reaped before this returns
-    or raises.
+    Once the codec is built, the 101 sweep points and the seed-only transport
+    trials are shared with a forked helper process (see _SharedTrials), which
+    is reaped before this returns or raises.
     """
-    trials = _SharedTrials(_transport_trials(seed))
+    transport = _transport_trials(seed)
+    enc, gd, d_d = exhaustive_optimal_encoder(source, k)
+    gp = perceptual_decoder_for(source, enc)
+    trials = _SharedTrials([(_sweep_point, (source, enc, gd, gp, a)) for a in _ALPHAS],
+                           transport)
     try:
-        ctx = _Ctx(source, k, seed, rel_tol, trials)
+        ctx = _Ctx(source, k, seed, rel_tol, (enc, gd, d_d, gp), trials)
         return [fn(ctx) for fn in _CHECKS]
     finally:
         trials.reap()

@@ -56,11 +56,31 @@ class DiscreteDistribution:
         return self.points.shape[1]
 
 
+def _unique_rows(a: np.ndarray) -> tuple:
+    """(rows, inverse): the distinct rows of a (n, d) array in lexicographic
+    order, and the index into rows of each input row, so rows[inverse] == a.
+
+    −0.0 is read as +0.0 first, so a row's bytes never depend on which member
+    of a signed-zero group came first. For rows without NaN this gives the
+    bytes of np.unique(a + 0.0, axis=0, return_inverse=True) in about half its
+    time: one stable lexsort over the columns and a row-change mask.
+    """
+    a = a + 0.0
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def make_distribution(points, probs) -> DiscreteDistribution:
     """Build a canonical DiscreteDistribution from raw points and probabilities.
 
-    Canonical form: rows sorted lexicographically, exact duplicate points merged
-    by summing their probabilities, zero-mass points dropped. The total mass
+    Canonical form: rows sorted lexicographically (−0.0 read as +0.0), exact
+    duplicate points merged by summing their probabilities, zero-mass points
+    dropped; any permutation of the input gives the same bytes. The total mass
     must be 1 within 1e-9; it is renormalized only if it drifts by more than
     1e-12, which makes a second application bit-identical to the first.
     """
@@ -74,17 +94,15 @@ def make_distribution(points, probs) -> DiscreteDistribution:
         )
     if pts.shape[0] == 0:
         raise ValueError("empty support")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    if not np.all(np.isfinite(pr)):
+    if not np.isfinite(pr).all():
         raise ValueError("probs must be finite")
-    if np.any(pr < 0):
+    if (pr < 0).any():
         raise ValueError("negative prob")
-    # np.unique sorts rows lexicographically, which is the canonical ordering.
     # Masses are summed in (point, mass) order, so the total and the merged
     # duplicates are bit-identical under any permutation of the input.
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    uniq, inverse = _unique_rows(pts)
     order = np.lexsort((pr, inverse))
     total = float(pr[order].sum())
     if abs(total - 1.0) > INPUT_MASS_TOL:
@@ -95,7 +113,7 @@ def make_distribution(points, probs) -> DiscreteDistribution:
     merged = np.zeros(uniq.shape[0], dtype=np.float64)
     np.add.at(merged, inverse[order], pr[order])
     keep = merged > 0.0
-    if not np.any(keep):
+    if not keep.any():
         raise ValueError("empty support")
     return DiscreteDistribution(_readonly(uniq[keep]), _readonly(merged[keep]))
 

@@ -37,7 +37,13 @@ from .codec import (
     mmse_decoder_for,
     perceptual_decoder_for,
 )
-from .distcore import DiscreteDistribution, as_points, joint_from_encoder, sq_dists
+from .distcore import (
+    DiscreteDistribution,
+    _unique_rows,
+    as_points,
+    joint_from_encoder,
+    sq_dists,
+)
 from .transport import w2sq_exact
 
 SWEEP_COLUMNS = ("alpha", "D_measured", "P_measured", "D_predicted", "P_predicted", "D_d", "P_d")
@@ -64,13 +70,22 @@ class TradeoffPoint:
         if self.d_measured < self.d_d * (1 - 1e-6) - 1e-12:
             raise ValueError("measured distortion undercuts the MMSE optimum")
 
+    @classmethod
+    def measured(cls, alpha: float, d_measured: float, p_measured: float,
+                 d_d: float, p_d: float) -> "TradeoffPoint":
+        """The point at alpha, its predictions taken from the endpoint (D_d, P_d)."""
+        return cls(alpha, d_measured, p_measured, predicted_distortion(alpha, d_d),
+                   predicted_perception(alpha, p_d), d_d, p_d)
+
     def row(self) -> tuple:
         return (self.alpha, self.d_measured, self.p_measured,
                 self.d_predicted, self.p_predicted, self.d_d, self.p_d)
 
 
 def interpolate(gd: DeterministicDecoder, gp: StochasticDecoder, alpha: float) -> StochasticDecoder:
-    """Decoder emitting alpha*gd[z] + (1-alpha)*x with x drawn from gp's row z."""
+    """Decoder emitting alpha*gd[z] + (1-alpha)*x with x drawn from gp's row z.
+
+    Equal atoms share one support point, −0.0 read as +0.0."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha out of range [0, 1]")
     if gd.K != gp.K:
@@ -80,9 +95,9 @@ def interpolate(gd: DeterministicDecoder, gp: StochasticDecoder, alpha: float) -
     # one atom per positive entry of gp, in row-major (code, column) order
     z, m = np.nonzero(gp.table > 0)
     atoms = alpha * gd.table[z] + (1.0 - alpha) * gp.out_support[m]
-    uniq, inverse = np.unique(atoms, axis=0, return_inverse=True)
+    uniq, inverse = _unique_rows(atoms)
     table = np.zeros((gd.K, uniq.shape[0]))
-    np.add.at(table, (z, inverse.reshape(-1)), gp.table[z, m])
+    np.add.at(table, (z, inverse), gp.table[z, m])
     return StochasticDecoder(uniq, table)
 
 
@@ -147,19 +162,17 @@ def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be sorted ascending")
     d_d, p_d = mmse_endpoint(source, enc, gd)
-    points = []
-    for a in alphas:
-        realized = interpolate(gd, gp, a)
-        points.append(TradeoffPoint(
-            alpha=a,
-            d_measured=distortion(source, enc, realized),
-            p_measured=w2sq_exact(source, decoder_output_dist(source, enc, realized)).cost,
-            d_predicted=predicted_distortion(a, d_d),
-            p_predicted=predicted_perception(a, p_d),
-            d_d=d_d,
-            p_d=p_d,
-        ))
-    return points
+    return [TradeoffPoint.measured(a, *_measure(source, enc, gd, gp, a), d_d, p_d)
+            for a in alphas]
+
+
+def _measure(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
+             gp: StochasticDecoder, alpha: float) -> Tuple[float, float]:
+    """(D, P) of the decoder interpolated at alpha: its distortion and its
+    output law's W2² to the source law."""
+    realized = interpolate(gd, gp, alpha)
+    return (distortion(source, enc, realized),
+            w2sq_exact(source, decoder_output_dist(source, enc, realized)).cost)
 
 
 def sweep_to_csv(points: Sequence[TradeoffPoint]) -> str:

@@ -39,9 +39,9 @@ def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
     nr, nc = a.shape[0], b.shape[0]
     if c.shape != (nr, nc):
         raise ValueError(f"cost matrix shape {c.shape} does not match marginals ({nr}, {nc})")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("cost matrix must be finite")
-    if np.any(a < 0) or np.any(b < 0):
+    if (a < 0).any() or (b < 0).any():
         raise ValueError("negative prob in marginals")
     if nr > SIZE_CAP or nc > SIZE_CAP:
         raise ValueError(f"size cap exceeded: {nr}x{nc} > {SIZE_CAP}x{SIZE_CAP}")
@@ -57,7 +57,7 @@ def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
     if res.status != 0:
         raise ValueError(f"transport LP failed: {res.message}")
     pi = np.maximum(res.x.reshape(nr, nc), 0.0)
-    realized = float(np.sum(pi * c))
+    realized = float((pi * c).sum())
     return TransportPlan(pi=pi, cost=realized)
 
 

@@ -21,7 +21,8 @@ def _interpolate_loops(gd, gp, alpha):
         mask = gp.table[z] > 0
         blocks.append(alpha * gd.table[z][None, :] + (1.0 - alpha) * gp.out_support[mask])
         weights.append(gp.table[z][mask])
-    uniq, inverse = np.unique(np.vstack(blocks), axis=0, return_inverse=True)
+    # −0.0 is read as +0.0, so a signed-zero group has one set of bytes
+    uniq, inverse = np.unique(np.vstack(blocks) + 0.0, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     table = np.zeros((gd.K, uniq.shape[0]))
     offset = 0

@@ -1,4 +1,5 @@
-"""verify's seed-only transport trials, shared with a forked helper process.
+"""verify's α-sweep points and seed-only transport trials, shared with a
+forked helper process.
 
 With the helper, without it, and with a helper that dies part way, every
 `verify` run prints the same bytes and exits the same way, and no child
@@ -11,13 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from dplab import checks
+from dplab import checks, tradeoff
 from dplab.cli import main
+from dplab.codec import decoder_output_dist, exhaustive_optimal_encoder, perceptual_decoder_for
 from dplab.distcore import builtin_source, make_distribution
+from dplab.transport import TransportPlan
 from test_cli import VERIFY_U4_GOLDEN
 
 SEEDS = (0, 7, 2**64 - 1)
-N_TRIALS = 150  # 50 agreement pairs, then 100 axiom triples
+N_SWEEP = 101  # segment 0: the sweep's points at α = 0, 0.01, ..., 1
+N_TRIALS = N_SWEEP + 150  # segment 1: 50 agreement pairs, then 100 axiom triples
 
 
 def _planar6(tmp_path):
@@ -79,14 +83,15 @@ def helper_first(monkeypatch):
     the work is certain and not a matter of timing."""
     init = checks._Ctx.__init__
 
-    def waiting(self, source, k, seed, rel_tol, trials):
+    def waiting(self, *args):
+        trials = args[-1]
         deadline = time.monotonic() + 60
         # WNOWAIT leaves the exited helper for run_checks to reap
         while trials.pid and os.waitid(os.P_PID, trials.pid,
                                        os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
             assert time.monotonic() < deadline, "helper still running after 60 s"
             time.sleep(0.001)
-        init(self, source, k, seed, rel_tol, trials)
+        init(self, *args)
 
     monkeypatch.setattr(checks._Ctx, "__init__", waiting)
 
@@ -97,7 +102,8 @@ def test_helper_output_bit_identical(capsys, monkeypatch, tmp_path, scenario, se
     source, rate = SCENARIOS[scenario](tmp_path)
     argv = ["--source", source, "--rate", rate, "--seed", str(seed)]
     serial = _serial(capsys, monkeypatch, argv)
-    assert parent_runs == list(range(N_TRIALS - 1, -1, -1))  # all of them, from the back
+    # all of them, each segment from the back
+    assert parent_runs == [*range(N_SWEEP - 1, -1, -1), *range(N_TRIALS - 1, N_SWEEP - 1, -1)]
     parent_runs.clear()
     forks = []
     fork = os.fork
@@ -125,7 +131,7 @@ def test_helper_takes_a_share(parent_runs, helper_first):
 
 
 @pytest.mark.parametrize("how", ["exit", "raise"])
-@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("k", [0, 3, N_SWEEP + 3])
 def test_dead_helper_trials_rerun(capsys, monkeypatch, parent_runs, helper_first, how, k):
     # the helper stops after k trials, leaving the trial it claimed next
     # undone; the parent computes every missing trial and prints the golden
@@ -155,7 +161,8 @@ def test_no_child_after_run_checks():
 
 
 def test_no_child_after_ctx_raises(capsys, tmp_path):
-    # 2^24 assignments pass ENUMERATION_CAP: _Ctx raises while the helper runs
+    # 2^24 assignments pass ENUMERATION_CAP: the codec raises before any fork
+    # (test_sweep_error_same_as_serial raises while the helper runs)
     path = tmp_path / "planar24.json"
     pts = np.random.default_rng(5).normal(size=(24, 2))
     path.write_text(json.dumps({"points": pts.tolist(), "probs": [1 / 24] * 24}))
@@ -196,5 +203,40 @@ def test_trial_error_same_as_serial(capsys, monkeypatch, dim):
     serial = _serial(capsys, monkeypatch, argv)
     first = float(_first_law(dim).points.sum())
     assert serial == (2, "", f"error: injected at {first:.17g}\n")
+    assert _verify(capsys, argv) == serial
+    _no_children()
+
+
+@pytest.mark.parametrize("faults", [
+    {0.37: "raise"},
+    {0.37: "raise", 0.9: "raise"},
+    {0.37: "inflate", 0.9: "raise"},
+], ids=["one", "two", "point-first"])
+def test_sweep_error_same_as_serial(capsys, monkeypatch, faults):
+    # the W2 LP at each listed α raises, naming its α, or returns a cost above
+    # P_d, which TradeoffPoint refuses; the exit-2 line is the error a serial
+    # sweep meets first, although the helper and the parent's walk from the
+    # back meet the others first
+    source = builtin_source("u4")
+    enc, gd, _ = exhaustive_optimal_encoder(source, 2)
+    gp = perceptual_decoder_for(source, enc)
+    law_alpha = {decoder_output_dist(source, enc, tradeoff.interpolate(gd, gp, a)).points.tobytes(): a
+                 for a in faults}
+    w2sq_exact = tradeoff.w2sq_exact
+
+    def faulty(a, b):
+        alpha = law_alpha.get(b.points.tobytes())
+        if alpha is None:
+            return w2sq_exact(a, b)
+        if faults[alpha] == "raise":
+            raise ValueError(f"injected at alpha {alpha}")
+        return TransportPlan(w2sq_exact(a, b).pi, 1.0)
+
+    monkeypatch.setattr(tradeoff, "w2sq_exact", faulty)
+    argv = ["--source", "builtin:u4", "--rate", "1"]
+    serial = _serial(capsys, monkeypatch, argv)
+    first = ("measured perception exceeds the MMSE endpoint" if faults[0.37] == "inflate"
+             else "injected at alpha 0.37")
+    assert serial == (2, "", f"error: {first}\n")
     assert _verify(capsys, argv) == serial
     _no_children()

@@ -130,6 +130,52 @@ def test_canonicalization_properties(raw):
         assert tuple(d.points[i]) < tuple(d.points[i + 1])
 
 
+@given(st.lists(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), min_size=2, max_size=2),
+                min_size=1, max_size=8).flatmap(lambda rows: st.tuples(st.just(rows),
+                                                                      st.permutations(rows))))
+@settings(max_examples=150, deadline=None)
+def test_signed_zeros_permutation_invariant(rows):
+    # −0.0 and +0.0 are one point, whichever sign comes first
+    pts, perm = (np.asarray(r) for r in rows)
+    probs = np.full(len(pts), 1.0 / len(pts))
+    d, shuffled = make_distribution(pts, probs), make_distribution(perm, probs)
+    assert d.points.tobytes() == shuffled.points.tobytes()
+    assert d.probs.tobytes() == shuffled.probs.tobytes()
+    assert not np.signbit(d.points[d.points == 0]).any()
+
+
+def _make_distribution_unique(pts, probs):
+    """make_distribution's canonical form through np.unique(axis=0), the form
+    the lexsort helper replaced; −0.0 is read as +0.0 first."""
+    uniq, inverse = np.unique(pts + 0.0, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.lexsort((probs, inverse))
+    total = float(probs[order].sum())
+    if abs(total - 1.0) > 1e-12:
+        probs = probs / total
+    merged = np.zeros(uniq.shape[0])
+    np.add.at(merged, inverse[order], probs[order])
+    keep = merged > 0.0
+    return uniq[keep], merged[keep]
+
+
+def test_make_distribution_matches_unique_reference():
+    rng = np.random.default_rng(20)
+    for t in range(3000):
+        n, dim = int(rng.integers(1, 25)), 1 + t % 3
+        # a small value set forces duplicates and signed-zero groups
+        pts = rng.choice([-1.5, -1.0, -0.0, 0.0, 1.0, 2.0], size=(n, dim))
+        probs = rng.random(n) * (rng.random(n) < 0.8)  # some zero masses
+        if probs.sum() == 0:
+            probs[0] = 1.0
+        probs = probs / probs.sum()
+        d = make_distribution(pts, probs)
+        ref_points, ref_probs = _make_distribution_unique(pts, probs)
+        assert d.points.shape == ref_points.shape, t
+        assert d.points.tobytes() == ref_points.tobytes(), t
+        assert d.probs.tobytes() == ref_probs.tobytes(), t
+
+
 def test_gaussian_grid_shape_and_symmetry():
     d = gaussian_grid(0.0, 1.0, 33, 4.0)
     assert d.n == 33
