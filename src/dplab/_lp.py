@@ -9,17 +9,27 @@ builds every equality matrix in CSC form from those two row indices and the
 weight; `marginals`, the transport pair, is cached per shape for the shapes
 the shared solver runs.
 
-The HiGHS model and options are exactly those `linprog(method="highs",
-options=HIGHS_OPTIONS)` would pass, so the returned x is the same to the bit
-(tests/test_lp.py holds that against linprog). The model goes to HiGHS as the
-CSC arrays themselves. LPs of at most SHARED_MAX_COLS columns share one solver
-instance: passing a model clears the previous model, basis and solution, so
-no solve sees another's state (tests/test_lp.py solves the same LPs in
-several orders and after failures). A larger LP gets a fresh instance,
-dropped as soon as its solution is read: its work arrays do not stay
-resident, and x, y and the certificate's temporaries are never allocated
-beside them. Each solve is then checked by a primal/dual certificate instead
-of linprog's looser feasibility check.
+The model goes to HiGHS as the CSC arrays themselves. LPs of at most
+SHARED_MAX_COLS columns share one solver instance: passing a model clears the
+previous model, basis and solution, so no solve sees another's state
+(tests/test_lp.py solves the same LPs in several orders and after failures).
+A larger LP gets a fresh instance, dropped as soon as its solution is read:
+its work arrays do not stay resident, and x, y and the certificate's
+temporaries are never allocated beside them. Each solve is then checked by a
+primal/dual certificate instead of linprog's looser feasibility check.
+
+The same size gate picks the options. The shared instance holds exactly the
+options `linprog(method="highs", options=HIGHS_OPTIONS)` would pass, and a
+fresh one those of `options={**HIGHS_OPTIONS, "presolve": False}`, so the
+returned x is the same to the bit as linprog's with the matching options
+(tests/test_lp.py holds both). On a transport LP presolve removes only the one
+redundant marginal row (both marginals sum to one mass), then postsolves and
+finishes on the original LP; above the gate that round trip costs about half
+of run()'s time and memory. Small LPs keep presolve, as every pinned output
+was solved with it; the largest pinned LP has 5,032 columns. Outputs whose
+LPs exceed the gate (transport between sources of about 91 points and more,
+theorem2's augmented LPs on gauss33 at rate 3) move in their last digits, or
+pick another optimum where the LP has several.
 """
 from __future__ import annotations
 
@@ -40,12 +50,16 @@ HIGHS_OPTIONS = {
 # Certificate tolerance: on each row's residual relative to the size of the
 # terms it sums (see certificate), and relative to max(1, ‖c‖∞) on the dual side.
 CERT_TOL = 1e-9
-# LPs up to this many columns run on the shared solver; larger ones get a
-# fresh instance. verify on gauss33 at rate 2 solves LPs of up to 5,032
-# columns (median 20), where building an instance is a visible share of each
-# solve. Sharing it also for 128-256 point transport LPs (16,384 columns and
-# up) raised a process's peak RSS over a 20-s run of them from 146 to 171 MB.
-# The same bound decides which transport shapes `marginals` keeps cached.
+# LPs up to this many columns run on the shared solver with presolve; larger
+# ones get a fresh instance without it (_LARGE_OPTIONS). verify on gauss33 at
+# rate 2 solves LPs of up to 5,032 columns (median 20), where building an
+# instance is a visible share of each solve. Sharing it also for 128-256 point
+# transport LPs (16,384 columns and up) raised a process's peak RSS over a
+# 20-s run of them from 146 to 171 MB. Presolve off took 256x256 planar W1
+# LPs' run() from 0.35-0.72 s to 0.13-0.39 s and the peak RSS of a process
+# solving them from 138 to 112 MB (2-core x86-64, scipy 1.17.1); on small LPs
+# it would move pinned outputs' last digits. The same bound decides which
+# transport shapes `marginals` keeps cached.
 SHARED_MAX_COLS = 8192
 
 
@@ -62,15 +76,22 @@ def _highs_options() -> _highs.HighsOptions:
     return opts
 
 
+def _pass_options(highs: _highs._Highs, options: _highs.HighsOptions) -> None:
+    if highs.passOptions(options) != _highs.HighsStatus.kOk:
+        raise RuntimeError("HiGHS rejected dplab's solver options")
+
+
 def _solver() -> _highs._Highs:
     """A HiGHS instance holding _OPTIONS."""
     highs = _highs._Highs()
-    if highs.passOptions(_OPTIONS) != _highs.HighsStatus.kOk:
-        raise RuntimeError("HiGHS rejected dplab's solver options")
+    _pass_options(highs, _OPTIONS)
     return highs
 
 
 _OPTIONS = _highs_options()
+# A fresh instance's options: linprog's for {**HIGHS_OPTIONS, "presolve": False}.
+_LARGE_OPTIONS = _highs_options()
+_LARGE_OPTIONS.presolve = "off"
 _LARGE_MATRIX_VALUE = _OPTIONS.large_matrix_value
 _INFINITE_COST = _OPTIONS.infinite_cost
 _SHARED = _solver()
@@ -141,15 +162,16 @@ _marginals_cached = functools.lru_cache(maxsize=64)(_build_marginals)
 def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     """min c·x s.t. a_eq x = b_eq, a_ub x <= b_ub, x >= 0, by the HiGHS solver.
 
-    LPs of at most SHARED_MAX_COLS columns run on one shared solver instance,
-    larger ones on a fresh instance each, freed once its solution is read and
-    before x and y are copied out and certified; passing the model resets the
-    solver, so no basis carries over between solves either way. Non-finite
-    data, a constraint entry reaching HiGHS's large_matrix_value or a cost
-    reaching its infinite_cost raise ValueError: HiGHS would refuse the
-    model or treat the cost as infinite. A solution whose certificate fails
-    (scaled primal residual or bound violation above CERT_TOL, reduced cost or
-    duality gap beyond CERT_TOL·max(1, ‖c‖∞)) comes back with status 4.
+    LPs of at most SHARED_MAX_COLS columns run on one shared solver instance
+    with presolve, larger ones on a fresh instance each without it, freed once
+    its solution is read and before x and y are copied out and certified;
+    passing the model resets the solver, so no basis carries over between
+    solves either way. Non-finite data, a constraint entry reaching HiGHS's
+    large_matrix_value or a cost reaching its infinite_cost raise ValueError:
+    HiGHS would refuse the model or treat the cost as infinite. A solution
+    whose certificate fails (scaled primal residual or bound violation above
+    CERT_TOL, reduced cost or duality gap beyond CERT_TOL·max(1, ‖c‖∞)) comes
+    back with status 4.
     Callers map a nonzero status to their own error.
     """
     c = np.asarray(c, dtype=np.float64)
@@ -174,6 +196,7 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
         lower, upper, integrality = _LOWER[:n_col], _UPPER[:n_col], _CONTINUOUS[:n_col]
     else:
         highs = _solver()
+        _pass_options(highs, _LARGE_OPTIONS)
         lower, upper = np.zeros(n_col), np.full(n_col, np.inf)
         integrality = np.zeros(n_col, dtype=np.int32)
     if len(b_ub):

@@ -52,7 +52,8 @@ def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
         b = b * (sa / sb)
 
     # pi[i, j] sits in row-marginal row i and column-marginal row nr + j; one
-    # equality is redundant but consistent, which HiGHS presolve handles.
+    # equality is redundant but consistent, which HiGHS handles with presolve
+    # (small LPs) or without it (above _lp.SHARED_MAX_COLS).
     res = _lp.solve(c.reshape(-1), _lp.marginals(nr, nc), np.concatenate([a, b]))
     if res.status != 0:
         raise ValueError(f"transport LP failed: {res.message}")

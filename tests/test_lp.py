@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.optimize._highspy import _core as _highs
 
 from dplab import _lp
 from dplab._lp import CERT_TOL, HIGHS_OPTIONS, certificate, incidence, marginals
 from dplab.augmented import solve_augmented
 from dplab.codec import Encoder, exhaustive_optimal_encoder, perceptual_decoder_for
-from dplab.distcore import builtin_source, joint_from_encoder, make_distribution
+from dplab.distcore import builtin_source, gaussian_grid, joint_from_encoder, make_distribution
 from dplab.tradeoff import constrained_oracle, default_oracle_support
-from dplab.transport import w1_exact, w2sq_exact
+from dplab.transport import w1_exact, w2sq_exact, w_1d_closed_form
 
 U4 = builtin_source("u4")
 GAUSS33 = builtin_source("gauss33")
@@ -91,8 +91,13 @@ def _recorded_lps(monkeypatch, run):
 
 
 def _reference(c, a_eq, b_eq, a_ub=None, b_ub=None):
+    """linprog with the options _lp.solve uses at this size: presolve is off
+    above the gate, read at call time so a monkeypatched gate moves it too."""
+    options = HIGHS_OPTIONS
+    if np.size(c) > _lp.SHARED_MAX_COLS:
+        options = {**HIGHS_OPTIONS, "presolve": False}
     return linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                   method="highs", options=HIGHS_OPTIONS)
+                   method="highs", options=options)
 
 
 def _planar(seed, n):
@@ -422,3 +427,76 @@ def test_solve_refuses_values_at_highs_limits(bad):
     with pytest.raises(ValueError, match=f"reaches HiGHS {limit}") as err:
         _lp.solve(*args)
     assert "\n" not in str(err.value)
+
+
+# --- above the gate: presolve off, checked against independent oracles ------
+
+
+def _assert_above_gate(monkeypatch, run):
+    lps = _recorded_lps(monkeypatch, run)
+    assert lps and min(args[0].size for args in lps) > _lp.SHARED_MAX_COLS
+
+
+def _line(points, seed):
+    w = np.random.default_rng(seed).random(len(points))
+    return make_distribution(points, w / w.sum())
+
+
+@pytest.mark.parametrize("case", ["random", "integer-ties"])
+def test_large_1d_costs_match_closed_form(monkeypatch, case):
+    rng = np.random.default_rng(41)
+    if case == "random":
+        a, b = _line(rng.normal(size=96), 1), _line(3 * rng.random(100) - 1, 2)
+        orders = (2,)
+    else:
+        # shared integer atoms: equal points, equal distances, degenerate plans
+        a, b = _line(np.arange(96.0), 3), _line(np.arange(-2.0, 98.0), 4)
+        orders = (1, 2)
+    for order in orders:
+        exact = w1_exact if order == 1 else w2sq_exact
+        _assert_above_gate(monkeypatch, lambda: exact(a, b))
+        assert exact(a, b).cost == pytest.approx(w_1d_closed_form(a, b, order), rel=1e-12), order
+
+
+def test_large_planar_w1_matches_assignment(monkeypatch):
+    # uniform laws of equal size: an optimal plan is a permutation (Birkhoff)
+    rng = np.random.default_rng(42)
+    pa, pb = rng.normal(size=(96, 2)), rng.normal(size=(96, 2)) + 0.5
+    a, b = (make_distribution(p, np.full(96, 1 / 96)) for p in (pa, pb))
+    _assert_above_gate(monkeypatch, lambda: w1_exact(a, b))
+    dist = np.sqrt(((a.points[:, None, :] - b.points[None, :, :]) ** 2).sum(axis=2))
+    rows, cols = linear_sum_assignment(dist)
+    assert w1_exact(a, b).cost == pytest.approx(dist[rows, cols].sum() / 96, rel=1e-12)
+
+
+def test_large_oracle_matches_interpolation_distortion(monkeypatch):
+    # at P = α² D_d the oracle attains (1 + (1 - α)²) D_d on the default support
+    source = gaussian_grid(0, 1, 50, 4)
+    enc, gd, d_d = exhaustive_optimal_encoder(source, 4)
+    sup = default_oracle_support(source, gd, perceptual_decoder_for(source, enc))
+    alpha = 0.5
+    _assert_above_gate(monkeypatch, lambda: constrained_oracle(source, enc, alpha ** 2 * d_d, sup))
+    d_star, _ = constrained_oracle(source, enc, alpha ** 2 * d_d, sup)
+    assert d_star == pytest.approx((1 + (1 - alpha) ** 2) * d_d, rel=1e-9)
+
+
+def test_gate_sides_agree_on_a_large_lp(monkeypatch):
+    # the same LP on the shared solver (gate raised above it, presolve on) and
+    # on a fresh one (default gate, presolve off): each side matches its own
+    # linprog reference to the bit and the two optima agree
+    args = _wide_transport()
+    n = args[0].size
+    assert n > _lp.SHARED_MAX_COLS
+    fresh = _lp.solve(*args)
+    with monkeypatch.context() as m:
+        m.setattr(_lp, "SHARED_MAX_COLS", n)
+        m.setattr(_lp, "_LOWER", np.zeros(n))
+        m.setattr(_lp, "_UPPER", np.full(n, np.inf))
+        m.setattr(_lp, "_CONTINUOUS", np.zeros(n, dtype=np.int32))
+        m.setattr(_lp, "_solver", lambda: pytest.fail("the shared solver was bypassed"))
+        shared = _lp.solve(*args)
+        shared_ref = _reference(*args)
+    assert fresh.status == shared.status == 0
+    assert shared.x.tobytes() == shared_ref.x.tobytes()
+    assert fresh.x.tobytes() == _reference(*args).x.tobytes()
+    assert args[0] @ fresh.x == pytest.approx(args[0] @ shared.x, rel=1e-13)
