@@ -97,15 +97,6 @@ _INFINITE_COST = _OPTIONS.infinite_cost
 _SHARED = _solver()
 _SHARED_LOCK = threading.Lock()
 
-# Column bounds x >= 0 and all-continuous integrality, sliced for the shared
-# solver's LPs, and an empty b_ub: per-call constants made once.
-_LOWER = np.zeros(SHARED_MAX_COLS)
-_UPPER = np.full(SHARED_MAX_COLS, np.inf)
-_CONTINUOUS = np.zeros(SHARED_MAX_COLS, dtype=np.int32)
-_NO_ROWS = np.zeros(0)
-for _part in (_LOWER, _UPPER, _CONTINUOUS, _NO_ROWS):
-    _part.flags.writeable = False
-
 
 class LPResult(NamedTuple):
     """x is None unless status is 0; status follows linprog's codes."""
@@ -176,7 +167,7 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     """
     c = np.asarray(c, dtype=np.float64)
     b_eq = np.asarray(b_eq, dtype=np.float64)
-    b_ub = _NO_ROWS if b_ub is None else np.asarray(b_ub, dtype=np.float64)
+    b_ub = np.asarray([] if b_ub is None else b_ub, dtype=np.float64)
     a = a_eq.tocsc() if a_ub is None else sparse.vstack([a_ub, a_eq], format="csc")
     # a largest magnitude is NaN or inf exactly when some entry is
     top_c, top_a = np.abs(c).max(initial=0.0), np.abs(a.data).max(initial=0.0)
@@ -193,23 +184,17 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     n_row, n_col = a.shape
     if n_col <= SHARED_MAX_COLS:
         highs = _SHARED
-        lower, upper, integrality = _LOWER[:n_col], _UPPER[:n_col], _CONTINUOUS[:n_col]
     else:
         highs = _solver()
         _pass_options(highs, _LARGE_OPTIONS)
-        lower, upper = np.zeros(n_col), np.full(n_col, np.inf)
-        integrality = np.zeros(n_col, dtype=np.int32)
-    if len(b_ub):
-        row_lower = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
-        row_upper = np.concatenate([b_ub, b_eq])
-    else:
-        row_lower = row_upper = b_eq
+    row_lower = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
+    row_upper = np.concatenate([b_ub, b_eq])
     with _SHARED_LOCK:  # the shared instance serves one solve at a time
         # no optimum: linprog's status code and message
         if highs.passModel(
                 n_col, n_row, a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
-                0.0, c, lower, upper, row_lower, row_upper,
-                a.indptr, a.indices, a.data, integrality,
+                0.0, c, np.zeros(n_col), np.full(n_col, np.inf), row_lower, row_upper,
+                a.indptr, a.indices, a.data, np.zeros(n_col, dtype=np.int32),
         ) == _highs.HighsStatus.kError:
             model_status = _highs.HighsModelStatus.kModelError
             return _failed(model_status, highs.modelStatusToString(model_status))
@@ -256,7 +241,7 @@ def certificate(a, c, b_eq, b_ub, x, y) -> tuple:
         return (np.nan,) * 3
     m_ub = len(b_ub)
     n_row, n_col = a.shape
-    rhs = np.concatenate([b_ub, b_eq]) if m_ub else b_eq
+    rhs = np.concatenate([b_ub, b_eq])
     col = np.repeat(np.arange(n_col), a.indptr[1:] - a.indptr[:-1])  # a is CSC
     terms = a.data * x[col]
     ax = np.bincount(a.indices, weights=terms, minlength=n_row)

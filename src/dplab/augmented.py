@@ -29,7 +29,14 @@ from .codec import (
     check_zd_xd_bijective,
     distortion,
 )
-from .distcore import DiscreteDistribution, as_points, joint_from_encoder, make_distribution, sq_dists
+from .distcore import (
+    DiscreteDistribution,
+    _unique_rows,
+    as_points,
+    joint_from_encoder,
+    make_distribution,
+    sq_dists,
+)
 from .transport import SIZE_CAP, w1_exact
 LP_VARIABLE_CAP = 2_000_000
 INDETERMINATE_BAND = 1e-9
@@ -105,17 +112,16 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
         raise ValueError(f"size cap exceeded: {source.n} support points > {SIZE_CAP}")
     _, pz = _filled_cells(source, enc)
 
-    required = np.unique(np.vstack([source.points, gd.table]), axis=0)
+    required = _unique_rows(np.vstack([source.points, gd.table]))[0]
     if out_support is None:
         sup = required
     else:
-        sup = np.unique(as_points(out_support), axis=0)
-        merged = np.unique(np.vstack([sup, required]), axis=0)
+        sup = _unique_rows(as_points(out_support))[0]
+        merged = _unique_rows(np.vstack([sup, required]))[0]
         if merged.shape[0] != sup.shape[0]:
             raise ValueError("out_support must contain supp(X) and the gd table")
 
-    values, val_of_z = np.unique(gd.table, axis=0, return_inverse=True)
-    val_of_z = val_of_z.reshape(-1)
+    values, val_of_z = _unique_rows(gd.table)
     nv, m, n = values.shape[0], sup.shape[0], source.n
     pv = np.zeros(nv)
     np.add.at(pv, val_of_z, pz)

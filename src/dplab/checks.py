@@ -42,11 +42,11 @@ from .distcore import (
 )
 from .tradeoff import (
     TradeoffPoint,
-    _measure,
     constrained_oracle,
     default_oracle_support,
     dp_derivatives,
-    mmse_endpoint,
+    interpolate,
+    measure,
     universal_encoder_check,
 )
 from .transport import w1_exact, w2sq_exact, w_1d_closed_form
@@ -86,7 +86,7 @@ class _Ctx:
         self.rel_tol = rel_tol
         self.enc, self.gd, self.d_d, self.gp = codec
         # sweep() on _ALPHAS, its points measured by the trials of segment 0
-        d_d, self.p_d = mmse_endpoint(source, self.enc, self.gd)
+        d_d, self.p_d = measure(source, self.enc, self.gd)
         self.points101 = [TradeoffPoint.measured(a, d, p, d_d, self.p_d)
                           for a, (d, p, _) in zip(_ALPHAS, trials.collect(0))]
         # i/100 and (i/5)/20 are the same double for i = 0, 5, ..., 100
@@ -405,7 +405,7 @@ _CHECKS = (
 
 def _sweep_point(source, enc, gd, gp, alpha) -> tuple:
     """D(α) and P(α) of the interpolated decoder, and an unused 0."""
-    return (*_measure(source, enc, gd, gp, alpha), 0.0)
+    return (*measure(source, enc, interpolate(gd, gp, alpha)), 0.0)
 
 
 def _agreement_pair(xa, pa, xb, pb) -> tuple:

@@ -37,7 +37,7 @@ from .tradeoff import (
     check_budget,
     constrained_oracle,
     default_oracle_support,
-    mmse_endpoint,
+    measure,
     predicted_distortion,
     sweep,
     sweep_to_csv,
@@ -177,7 +177,7 @@ def cmd_oracle(args: argparse.Namespace, source: DiscreteDistribution) -> Tuple[
     check_budget(p_budget)
     enc, gd = build_codec(args, source)
     gp = perceptual_decoder_for(source, enc)
-    d_d, p_d = mmse_endpoint(source, enc, gd)
+    d_d, p_d = measure(source, enc, gd)
     sup = default_oracle_support(source, gd, gp)
     d_star, dec = constrained_oracle(source, enc, p_budget, sup)
     alpha = alpha_for_perception(p_budget, p_d)

@@ -21,6 +21,7 @@ from .distcore import (
     MASS_TOL,
     DiscreteDistribution,
     _readonly,
+    _unique_rows,
     as_points,
     joint_from_encoder,
     make_distribution,
@@ -169,8 +170,9 @@ def decoder_output_dist(
 
 
 def check_zd_xd_bijective(enc: Encoder, dec: DeterministicDecoder) -> bool:
-    """True iff the decoder table has K pairwise distinct rows (bit-exact)."""
-    return np.unique(dec.table, axis=0).shape[0] == enc.K
+    """True iff the decoder table has K pairwise distinct rows (bit-exact,
+    −0.0 read as +0.0)."""
+    return _unique_rows(dec.table)[0].shape[0] == enc.K
 
 
 def lloyd_train(
@@ -329,9 +331,6 @@ def _first_occurrence_blocks(n, K, rows):
     this a partition's lexicographically smallest labeling: each partition into
     K cells comes once, S(n, K) rows against the K^n labeled assignments.
     """
-    if K == 1:  # one labeling; no need to grow it a point at a time
-        yield np.zeros((1, n), dtype=np.int64)
-        return
     # heads of n - t points, then each head's tail as one block of <= K^t rows
     t = 0
     while t < n - 1 and K ** (t + 1) <= rows:

@@ -64,6 +64,11 @@ def _unique_rows(a: np.ndarray) -> tuple:
     of a signed-zero group came first. For rows without NaN this gives the
     bytes of np.unique(a + 0.0, axis=0, return_inverse=True) in about half its
     time: one stable lexsort over the columns and a row-change mask.
+
+    This is the library's only rule for which points are distinct; every
+    support and decoder table is deduplicated here. Two np.unique calls stay
+    independent of it on purpose: checks' canonical_support check, which
+    witnesses this rule from outside, and w_1d_closed_form's 1-D atom merge.
     """
     a = a + 0.0
     order = np.lexsort(a.T[::-1])

@@ -1,8 +1,9 @@
 """The alpha-interpolation decoder family and the constrained D(P) oracle.
 
-interpolate() realizes the decoder that blends the conditional-mean table
-with the conditional resampler; for a globally MSE-optimal pair its measured
-distortion and perception obey the closed forms
+measure() scores every decoder by the same pair, D = E‖X − X̂‖² and
+P = W2²(p_X, p_X̂). interpolate() realizes the decoder that blends the
+conditional-mean table with the conditional resampler; for a globally
+MSE-optimal pair its measured distortion and perception obey the closed forms
 
     D(alpha) = (1 + (1-alpha)^2) * D_d        P(alpha) = alpha^2 * P_d
 
@@ -26,6 +27,7 @@ from . import _lp
 from ._format import csv_text
 from .codec import (
     BLOCK_ELEMENTS,
+    Decoder,
     DeterministicDecoder,
     Encoder,
     StochasticDecoder,
@@ -143,10 +145,10 @@ def dp_derivatives(alpha: float, d_d: float) -> Tuple[float, float]:
     return alpha / (alpha - 1.0), 1.0 / (2.0 * (1.0 - alpha) ** 3 * d_d)
 
 
-def mmse_endpoint(source: DiscreteDistribution, enc: Encoder,
-                  gd: DeterministicDecoder) -> Tuple[float, float]:
-    """(D_d, P_d): the MMSE decoder's distortion and W2² to the source law."""
-    return distortion(source, enc, gd), w2sq_exact(source, decoder_output_dist(source, enc, gd)).cost
+def measure(source: DiscreteDistribution, enc: Encoder, dec: Decoder) -> Tuple[float, float]:
+    """(D, P) of a decoder: its distortion and its output law's W2² to the
+    source law. For the MMSE decoder gd this is the endpoint (D_d, P_d)."""
+    return distortion(source, enc, dec), w2sq_exact(source, decoder_output_dist(source, enc, dec)).cost
 
 
 def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
@@ -161,18 +163,9 @@ def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
         raise ValueError("alpha out of range [0, 1]")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be sorted ascending")
-    d_d, p_d = mmse_endpoint(source, enc, gd)
-    return [TradeoffPoint.measured(a, *_measure(source, enc, gd, gp, a), d_d, p_d)
+    d_d, p_d = measure(source, enc, gd)
+    return [TradeoffPoint.measured(a, *measure(source, enc, interpolate(gd, gp, a)), d_d, p_d)
             for a in alphas]
-
-
-def _measure(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
-             gp: StochasticDecoder, alpha: float) -> Tuple[float, float]:
-    """(D, P) of the decoder interpolated at alpha: its distortion and its
-    output law's W2² to the source law."""
-    realized = interpolate(gd, gp, alpha)
-    return (distortion(source, enc, realized),
-            w2sq_exact(source, decoder_output_dist(source, enc, realized)).cost)
 
 
 def sweep_to_csv(points: Sequence[TradeoffPoint]) -> str:
@@ -185,7 +178,7 @@ def default_oracle_support(source: DiscreteDistribution, gd: DeterministicDecode
     parts = [source.points, gd.table]
     for a in (0.0, 0.25, 0.5, 0.75, 1.0):
         parts.append(interpolate(gd, gp, a).out_support)
-    return np.unique(np.vstack(parts), axis=0)
+    return _unique_rows(np.vstack(parts))[0]
 
 
 def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: float,
@@ -207,7 +200,7 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
         raise ValueError("out_support must be non-empty")
     if sup.shape[1] != source.dim:
         raise ValueError("dimension mismatch between out_support and source")
-    sup = np.unique(sup, axis=0)
+    sup = _unique_rows(sup)[0]
 
     mass = joint_from_encoder(source, enc)
     pz = mass.sum(axis=1)
@@ -278,7 +271,7 @@ def universal_encoder_check(source: DiscreteDistribution, k: int,
 
     enc, gd, _ = exhaustive_optimal_encoder(source, k)
     gp = perceptual_decoder_for(source, enc)
-    _, p_d = mmse_endpoint(source, enc, gd)
+    _, p_d = measure(source, enc, gd)
     base = default_oracle_support(source, gd, gp)
     d_mmse = []
     for p in p_grid:
@@ -294,7 +287,7 @@ def universal_encoder_check(source: DiscreteDistribution, k: int,
                 if np.array_equal(assign, enc.assignment):
                     continue
                 rival = Encoder(assign, kk)
-                rival_d, rival_p = mmse_endpoint(source, rival, mmse_decoder_for(source, rival))
+                rival_d, rival_p = measure(source, rival, mmse_decoder_for(source, rival))
                 root_p = math.sqrt(rival_p)
                 for i, p in enumerate(p_grid):
                     best[i] = min(best[i], rival_d + max(root_p - math.sqrt(p), 0.0) ** 2)

@@ -490,9 +490,6 @@ def test_gate_sides_agree_on_a_large_lp(monkeypatch):
     fresh = _lp.solve(*args)
     with monkeypatch.context() as m:
         m.setattr(_lp, "SHARED_MAX_COLS", n)
-        m.setattr(_lp, "_LOWER", np.zeros(n))
-        m.setattr(_lp, "_UPPER", np.full(n, np.inf))
-        m.setattr(_lp, "_CONTINUOUS", np.zeros(n, dtype=np.int32))
         m.setattr(_lp, "_solver", lambda: pytest.fail("the shared solver was bypassed"))
         shared = _lp.solve(*args)
         shared_ref = _reference(*args)

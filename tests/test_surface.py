@@ -1,9 +1,12 @@
 """The package surface carries no dead weight.
 
-Two static checks on the source tree, with the standard library's ast only:
-no module imports a name it never uses, and every name the package exports is
+Three static checks on the source tree, with the standard library's ast only:
+no module imports a name it never uses; every name the package exports is
 used somewhere other than its own definition: in the package, a demo or the
-README. An export only tests call is surface nobody else needs.
+README (an export only tests call is surface nobody else needs); and distinct
+points have one rule, `distcore._unique_rows`, so no module but checks.py,
+whose canonical_support check is an independent witness, calls np.unique
+over rows.
 """
 import ast
 import re
@@ -74,3 +77,19 @@ def test_every_export_has_a_user():
             continue
         idle.append(name)
     assert not idle, f"exports with no user outside the tests: {sorted(idle)}"
+
+
+def _unique_over_rows(tree):
+    """Lines of np.unique calls given an axis, by keyword or as the fifth argument."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and (len(node.args) >= 5 or any(k.arg == "axis" for k in node.keywords))]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "checks.py"],
+                         ids=lambda p: p.name)
+def test_distinct_rows_have_one_rule(path):
+    lines = _unique_over_rows(_tree(path))
+    assert not lines, f"{path.name} calls np.unique over rows (lines {lines}); use _unique_rows"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dplab.tradeoff
+from dplab.augmented import solve_augmented
 from dplab.codec import (
     Encoder,
     decoder_output_dist,
@@ -194,6 +195,18 @@ def test_default_oracle_support(u4_pair):
     assert sup.shape == (18, 1)
     merged = np.unique(np.vstack([sup, U4.points, gd.table]), axis=0)
     assert merged.shape[0] == sup.shape[0]
+
+
+def test_signed_zero_support_is_canonical(u4_pair):
+    # −0.0 and +0.0 are one support point whichever comes first, so the
+    # returned support has the same bytes for all four spellings of zero
+    enc, gd, _, _ = u4_pair
+    rest = [1.0, 2.0, 3.0, *gd.table[:, 0]]
+    for solve in (lambda sup: constrained_oracle(U4, enc, 0.1, sup)[1],
+                  lambda sup: solve_augmented(U4, enc, gd, 0.5, out_support=sup).decoder):
+        got = {solve(np.array(zeros + rest)[:, None]).out_support.tobytes()
+               for zeros in ([0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0])}
+        assert len(got) == 1
 
 
 def test_oracle_perfect_perception(u4_pair):
