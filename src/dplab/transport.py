@@ -4,7 +4,11 @@ w1_exact and w2sq_exact solve the coupling linear program with Euclidean /
 squared-Euclidean ground cost; w_1d_closed_form is a deliberately independent
 1-D oracle (CDF area for order 1, quantile pairing for order 2) used to check
 the LP route. Only the cost is contract-bearing when the optimal plan is
-degenerate; ties among plans are broken by the solver's deterministic pivots.
+degenerate. Ties among plans are broken by the solver's deterministic pivots,
+except for 1-D laws whose LP runs above _lp.SHARED_MAX_COLS: sorted 1-D
+supports make both costs Monge arrays, so the north-west-corner staircase is
+an optimal basis (Hoffman 1963). That LP starts from it, HiGHS confirms it
+without a pivot, and the plan returned is the monotone (quantile) coupling.
 """
 from __future__ import annotations
 
@@ -26,12 +30,16 @@ class TransportPlan:
     cost: float
 
 
-def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
+def solve_transport_lp(cost, row_probs, col_probs, *, _monge: bool = False) -> TransportPlan:
     """Exact transportation LP: min Σ pi*cost s.t. fixed marginals, pi >= 0.
 
     Solved with the HiGHS simplex at 1e-10 feasibility/optimality tolerances,
     which returns an optimal basic solution. Marginal totals may differ by at
     most 1e-9; the column side is rescaled to close that drift before solving.
+    HiGHS starts from its own basis, except where w1_exact and w2sq_exact say
+    (_monge, internal to this module) that the cost is a Monge array, on
+    sorted 1-D supports: an LP above _lp.SHARED_MAX_COLS then starts from the
+    north-west-corner staircase over the rescaled marginals.
     """
     c = np.asarray(cost, dtype=np.float64)
     a = np.asarray(row_probs, dtype=np.float64).reshape(-1)
@@ -53,13 +61,35 @@ def solve_transport_lp(cost, row_probs, col_probs) -> TransportPlan:
 
     # pi[i, j] sits in row-marginal row i and column-marginal row nr + j; one
     # equality is redundant but consistent, which HiGHS handles with presolve
-    # (small LPs) or without it (above _lp.SHARED_MAX_COLS).
-    res = _lp.solve(c.reshape(-1), _lp.marginals(nr, nc), np.concatenate([a, b]))
+    # (small LPs) or without it (above _lp.SHARED_MAX_COLS). A start makes
+    # the last row's slack basic beside the staircase's nr + nc - 1 cells.
+    start = None
+    if _monge and nr * nc > _lp.SHARED_MAX_COLS:
+        start = _staircase(a, b), [nr + nc - 1]
+    res = _lp.solve(c.reshape(-1), _lp.marginals(nr, nc), np.concatenate([a, b]), start=start)
     if res.status != 0:
         raise ValueError(f"transport LP failed: {res.message}")
     pi = np.maximum(res.x.reshape(nr, nc), 0.0)
     realized = float((pi * c).sum())
     return TransportPlan(pi=pi, cost=realized)
+
+
+def _staircase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat indices of the north-west-corner basis for masses a and b: the
+    nr + nc - 1 cells from (0, 0) to (nr - 1, nc - 1), one index advancing
+    per step.
+
+    Step k advances the row if the k-th smallest inner cumulative mass,
+    cumsum(a)[:-1] merged stably with cumsum(b)[:-1], is a row's; rows go
+    first on ties, so a tie adds a basic cell at zero mass instead of
+    skipping a corner.
+    """
+    nr, nc = len(a), len(b)
+    merged = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
+    col_step = np.argsort(merged, kind="stable") >= nr - 1
+    rows = np.concatenate([[0], np.cumsum(~col_step)])
+    cols = np.concatenate([[0], np.cumsum(col_step)])
+    return rows * nc + cols
 
 
 def _w_exact(a: DiscreteDistribution, b: DiscreteDistribution, order: int) -> TransportPlan:
@@ -68,7 +98,8 @@ def _w_exact(a: DiscreteDistribution, b: DiscreteDistribution, order: int) -> Tr
     cost = sq_dists(a.points, b.points)
     if order == 1:
         np.sqrt(cost, out=cost)  # in place: the array is this call's own
-    return solve_transport_lp(cost, a.probs, b.probs)
+    # on sorted 1-D supports both |x - y| and (x - y)^2 are Monge arrays
+    return solve_transport_lp(cost, a.probs, b.probs, _monge=a.dim == 1)
 
 
 def w1_exact(a: DiscreteDistribution, b: DiscreteDistribution) -> TransportPlan:

@@ -7,10 +7,11 @@ from scipy.optimize._highspy import _core as _highs
 from dplab import _lp
 from dplab._lp import CERT_TOL, HIGHS_OPTIONS, certificate, incidence, marginals
 from dplab.augmented import solve_augmented
-from dplab.codec import Encoder, exhaustive_optimal_encoder, perceptual_decoder_for
+from dplab.codec import (Encoder, decoder_output_dist, exhaustive_optimal_encoder,
+                         perceptual_decoder_for)
 from dplab.distcore import builtin_source, gaussian_grid, joint_from_encoder, make_distribution
-from dplab.tradeoff import constrained_oracle, default_oracle_support
-from dplab.transport import w1_exact, w2sq_exact, w_1d_closed_form
+from dplab.tradeoff import constrained_oracle, default_oracle_support, interpolate
+from dplab.transport import _staircase, w1_exact, w2sq_exact, w_1d_closed_form
 
 U4 = builtin_source("u4")
 GAUSS33 = builtin_source("gauss33")
@@ -73,13 +74,14 @@ def test_marginals_built_once_per_shape_and_read_only():
 
 
 def _recorded_lps(monkeypatch, run):
-    """Arguments of every _lp.solve call made by run()."""
+    """Positional arguments of every _lp.solve call made by run(); keyword
+    arguments (a starting basis) pass through unrecorded."""
     calls = []
     solve = _lp.solve
 
-    def record(*args):
+    def record(*args, **kwargs):
         calls.append(args)
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(_lp, "solve", record)
     try:
@@ -497,3 +499,157 @@ def test_gate_sides_agree_on_a_large_lp(monkeypatch):
     assert shared.x.tobytes() == shared_ref.x.tobytes()
     assert fresh.x.tobytes() == _reference(*args).x.tobytes()
     assert args[0] @ fresh.x == pytest.approx(args[0] @ shared.x, rel=1e-13)
+
+
+# --- above the gate, 1-D: the north-west-corner start ----------------------
+
+
+class _StartLog(_highs._Highs):
+    """A solver holding dplab's options that logs each setBasis status and the
+    simplex iterations of each run; refuse spoils the basis first, so HiGHS
+    refuses it: "short" cuts one column status, "count" makes one row too
+    many basic."""
+
+    def __init__(self, log, refuse=None):
+        super().__init__()
+        assert self.passOptions(_lp._OPTIONS) == _highs.HighsStatus.kOk
+        self.log, self.refuse = log, refuse
+
+    def setBasis(self, basis):
+        if self.refuse == "short":
+            basis.col_status = basis.col_status[:-1]
+        elif self.refuse == "count":
+            basis.row_status = [_highs.HighsBasisStatus.kBasic] + basis.row_status[1:]
+        status = super().setBasis(basis)
+        self.log.append(("setBasis", status))
+        return status
+
+    def run(self):
+        status = super().run()
+        self.log.append(("run", self.getInfo().simplex_iteration_count))
+        return status
+
+
+def _sweep_law(alpha):
+    """A 128-point gaussian grid and its rate-2 interpolated decoder's output
+    law: the self-similar pair of a sweep, whose cumulative masses tie."""
+    source = gaussian_grid(0, 1, 128, 4)
+    enc, gd, _ = exhaustive_optimal_encoder(source, 2)
+    dec = interpolate(gd, perceptual_decoder_for(source, enc), alpha)
+    return source, decoder_output_dist(source, enc, dec)
+
+
+def _start_cases():
+    rng = np.random.default_rng(43)
+    random = _line(rng.normal(size=96), 5), _line(3 * rng.random(100) - 1, 6)
+    ties = _line(np.arange(96.0), 7), _line(np.arange(-2.0, 98.0), 8)
+    return {
+        "w2-random": (w2sq_exact, *random),
+        "w1-random": (w1_exact, *random),
+        "w2-integer-ties": (w2sq_exact, *ties),
+        "w1-integer-ties": (w1_exact, *ties),
+        "w2-interpolated": (w2sq_exact, *_sweep_law(0.5)),
+        "w1-interpolated": (w1_exact, *_sweep_law(0.25)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_start_cases()))
+def test_large_1d_lp_starts_at_the_staircase(monkeypatch, case):
+    # the start is set, HiGHS takes it, and it is optimal as it stands
+    exact, a, b = _start_cases()[case]
+    _assert_above_gate(monkeypatch, lambda: exact(a, b))
+    log = []
+    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
+    plan = exact(a, b)
+    assert log == [("setBasis", _highs.HighsStatus.kOk), ("run", 0)]
+    assert plan.cost == pytest.approx(w_1d_closed_form(a, b, 1 if exact is w1_exact else 2),
+                                      rel=1e-12)
+
+
+def test_staircase_has_one_cell_per_step():
+    # every step advances one index, ties included: nr + nc - 1 distinct cells
+    # forming a monotone path from the first cell to the last
+    for a, b in ((np.full(4, 0.25), np.full(8, 0.125)), (np.array([0.5, 0.0, 0.5]),
+                                                         np.array([0.25, 0.25, 0.5])),
+                 (np.random.default_rng(9).random(7), np.random.default_rng(10).random(5))):
+        cells = _staircase(a, b)
+        rows, cols = np.divmod(cells, len(b))
+        assert len(cells) == len(a) + len(b) - 1
+        assert rows[0] == cols[0] == 0 and (rows[-1], cols[-1]) == (len(a) - 1, len(b) - 1)
+        assert np.array_equal(np.diff(rows) + np.diff(cols), np.ones(len(cells) - 1))
+    # on a tie the row advances first
+    rows, cols = np.divmod(_staircase(np.full(2, 0.5), np.full(2, 0.5)), 2)
+    assert rows.tolist() == [0, 1, 1] and cols.tolist() == [0, 0, 1]
+
+
+def test_no_start_off_the_1d_large_path(monkeypatch):
+    # a 2-D LP above the gate and every LP at or below it set no basis; the
+    # gate is read at call time
+    log = []
+    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
+    monkeypatch.setattr(_lp, "_SHARED", _StartLog(log))
+    pa, pb = _planar(11, 96), _planar(12, 96)
+    _assert_above_gate(monkeypatch, lambda: w1_exact(pa, pb))
+    w1_exact(pa, pb)
+    assert log and not any(entry[0] == "setBasis" for entry in log)
+    for name, run in sorted(_lp_cases().items()):
+        try:
+            run()
+        except ValueError:
+            assert name == "oracle-infeasible"
+    a, b = _line(np.arange(64.0), 13), _line(np.arange(128.0), 14)  # 8,192 columns
+    for exact in (w1_exact, w2sq_exact):
+        exact(a, b)
+    a, b = _line(np.arange(96.0), 15), _line(np.arange(100.0), 16)
+    monkeypatch.setattr(_lp, "SHARED_MAX_COLS", 96 * 100)
+    w2sq_exact(a, b)
+    assert not any(entry[0] == "setBasis" for entry in log)
+
+
+def _staircase_lp(n, seed):
+    """A 1-D W2 LP above the gate with sorted supports, and its start."""
+    rng = np.random.default_rng(seed)
+    a, b = _line(rng.normal(size=n), seed), _line(rng.normal(size=n), seed + 1)
+    cost = (a.points - b.points.T) ** 2
+    start = _staircase(a.probs, b.probs), [2 * n - 1]
+    return a, b, cost.reshape(-1), marginals(n, n), np.concatenate([a.probs, b.probs]), start
+
+
+def test_start_on_a_non_monge_cost_is_only_a_hint(monkeypatch):
+    # -(x - y)^2 is optimal on the anti-monotone coupling, far from the
+    # staircase: HiGHS takes the start, pivots away from it and still ends
+    # certified (a failed certificate is status 4) at linprog's cost
+    log = []
+    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
+    _, _, cost, a_eq, b_eq, start = _staircase_lp(96, 17)
+    res = _lp.solve(-cost, a_eq, b_eq, start=start)
+    assert log[0] == ("setBasis", _highs.HighsStatus.kOk) and log[1][1] > 0
+    ref = _reference(-cost, a_eq, b_eq)
+    assert res.status == 0 and ref.status == 0
+    assert -cost @ res.x == pytest.approx(ref.fun, rel=1e-12)
+
+
+@pytest.mark.parametrize("refuse", ["short", "count"])
+def test_refused_start_solves_cold(monkeypatch, refuse):
+    # a basis HiGHS refuses leaves the fresh instance cold: x is linprog's
+    log = []
+    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log, refuse))
+    _, _, cost, a_eq, b_eq, start = _staircase_lp(96, 19)
+    res = _lp.solve(cost, a_eq, b_eq, start=start)
+    assert log[0] == ("setBasis", _highs.HighsStatus.kError) and log[1][1] > 0
+    assert res.status == 0 and res.x.tobytes() == _reference(cost, a_eq, b_eq).x.tobytes()
+
+
+def _quantile_coupling(a, b):
+    """pi[i, j]: the overlap of row i's and column j's cumulative-mass intervals."""
+    ca, cb = (np.concatenate([[0.0], np.cumsum(p)]) for p in (a, b))
+    overlap = (np.minimum(ca[1:, None], cb[None, 1:]) - np.maximum(ca[:-1, None], cb[None, :-1]))
+    return np.maximum(overlap, 0.0)
+
+
+@pytest.mark.parametrize("n", [128, 144])
+def test_large_1d_plan_is_the_quantile_coupling(n):
+    a, b, *_ = _staircase_lp(n, n)
+    plan = w2sq_exact(a, b)
+    assert np.allclose(plan.pi, _quantile_coupling(a.probs, b.probs), rtol=0, atol=1e-12)
+    assert plan.cost == pytest.approx(w_1d_closed_form(a, b, 2), rel=1e-12)
