@@ -6,8 +6,8 @@ options built once, over nonnegative variables. In all three, each variable
 sits in exactly two equality rows: a mass row with coefficient 1 and a
 marginal row below it with a weight (1, or minus a cell's mass). `incidence`
 builds every equality matrix in CSC form from those two row indices and the
-weight; `marginals`, the transport pair, is cached per shape for the shapes
-the shared solver runs.
+weight; `marginals`, the transport pair, writes the same arrays directly and
+is cached per shape for the shapes the shared solver runs.
 
 The model goes to HiGHS as the CSC arrays themselves. LPs of at most
 SHARED_MAX_COLS columns share one solver instance: passing a model clears the
@@ -26,13 +26,15 @@ linprog's with the matching options (tests/test_lp.py holds both). On a
 transport LP presolve removes only the one redundant marginal row (both
 marginals sum to one mass), then postsolves and finishes on the original LP;
 above the gate that round trip costs about half of run()'s time and memory.
-Only a fresh, presolve-free instance takes a caller's starting basis: the
-north-west-corner staircase of a 1-D transport LP, which HiGHS then confirms
-optimal without a pivot. Small LPs keep presolve and HiGHS's own start, as
-every pinned output was solved that way; the largest pinned LP has 5,032
-columns. Outputs whose LPs exceed the gate (transport between sources of
-about 91 points and more, theorem2's augmented LPs on gauss33 at rate 3) move
-in their last digits, or pick another optimum where the LP has several.
+Only a fresh, presolve-free instance takes a caller's starting basis. The
+callers are transport LPs: the north-west-corner staircase of a 1-D one, and
+the optimal assignment completed to a tree of tight cells for one between
+uniform laws of equal size. HiGHS confirms either optimal without a pivot.
+Small LPs keep presolve and HiGHS's own start, as every pinned output was
+solved that way; the largest pinned LP has 5,032 columns. Outputs whose LPs
+exceed the gate (transport between sources of about 91 points and more,
+theorem2's augmented LPs on gauss33 at rate 3) move in their last digits, or
+pick another optimum where the LP has several.
 """
 from __future__ import annotations
 
@@ -136,15 +138,20 @@ def marginals(r: int, c: int) -> sparse.csc_array:
     kron(I_r, 1_c^T) stacked over kron(1_r^T, I_c). Its arrays are read-only.
     Shapes the shared solver runs (r*c at most SHARED_MAX_COLS) are built once
     and shared by every caller, the 64 most recently used kept; a larger shape
-    is built per call, in a few milliseconds against its solve's tenths of a
-    second, so it is freed with its LP.
+    is built per call, in about 0.2 ms at 256x256 against its solve's tens of
+    milliseconds, so it is freed with its LP.
     """
     return (_marginals_cached if r * c <= SHARED_MAX_COLS else _build_marginals)(r, c)
 
 
 def _build_marginals(r: int, c: int) -> sparse.csc_array:
-    a = incidence(np.repeat(np.arange(r, dtype=np.int32), c),
-                  np.tile(np.arange(r, r + c, dtype=np.int32), r), 1.0, r + c)
+    # incidence(i, r + j, 1.0) for column i*c + j, without its interleaving
+    # copies: every pair starts as (i, i), then its second entry becomes r + j
+    n = r * c
+    indices = np.arange(r, dtype=np.int32).repeat(2 * c)
+    indices.reshape(r, c, 2)[:, :, 1] = np.arange(r, r + c, dtype=np.int32)
+    a = sparse.csc_array((np.ones(2 * n), indices, np.arange(0, 2 * n + 1, 2, dtype=np.int32)),
+                         shape=(r + c, n))
     for part in (a.indices, a.indptr, a.data):
         part.flags.writeable = False
     return a
@@ -163,7 +170,8 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None, *, start=None) -> LPResult:
     read and before x and y are copied out and certified. There start, a pair
     (basic columns, basic rows) naming exactly one basic variable per row,
     every other column and row nonbasic at its lower bound, is handed to
-    HiGHS as the starting basis. It is only a hint: a basis HiGHS refuses
+    HiGHS as the starting basis (transport's staircase and assignment-tree
+    starts are the callers). It is only a hint: a basis HiGHS refuses
     leaves the solve cold, and every solution passes the same certificate.
     Passing the model resets the solver, so no basis carries over between
     solves either way. Non-finite data, a constraint entry reaching HiGHS's
@@ -244,15 +252,16 @@ def _set_start(highs: _highs._Highs, n_col: int, n_row: int, cols, rows) -> None
     `alien` field default it to true, which makes setBasis repair and factor
     the basis once more before run(): on a 128x128 transport LP that took
     about 4 ms of 12 and raised a large-lp process's peak RSS by about 1 MB
-    (2-core x86-64, scipy 1.17.1), so it is turned off. The status lists and the basis object are dropped
-    with this frame, before run() allocates.
+    (2-core x86-64, scipy 1.17.1), so it is turned off. The status lists and
+    the basis object are dropped with this frame, before run() allocates.
     """
-    status = np.full(n_col + n_row, _highs.HighsBasisStatus.kLower, dtype=object)
-    status[cols] = _highs.HighsBasisStatus.kBasic
-    status[n_col + np.asarray(rows, dtype=np.intp)] = _highs.HighsBasisStatus.kBasic
+    lower, basic = _highs.HighsBasisStatus.kLower, _highs.HighsBasisStatus.kBasic
     basis = _highs.HighsBasis()
-    basis.col_status = status[:n_col].tolist()
-    basis.row_status = status[n_col:].tolist()
+    for attr, size, chosen in (("col_status", n_col, cols), ("row_status", n_row, rows)):
+        status = [lower] * size
+        for k in np.asarray(chosen).tolist():
+            status[k] = basic
+        setattr(basis, attr, status)
     if hasattr(basis, "alien"):
         basis.alien = False
     highs.setBasis(basis)

@@ -3,15 +3,17 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.optimize._highspy import _core as _highs
+from scipy.sparse.csgraph import connected_components
 
-from dplab import _lp
+from dplab import _lp, transport
 from dplab._lp import CERT_TOL, HIGHS_OPTIONS, certificate, incidence, marginals
 from dplab.augmented import solve_augmented
 from dplab.codec import (Encoder, decoder_output_dist, exhaustive_optimal_encoder,
                          perceptual_decoder_for)
-from dplab.distcore import builtin_source, gaussian_grid, joint_from_encoder, make_distribution
+from dplab.distcore import (builtin_source, gaussian_grid, joint_from_encoder, make_distribution,
+                            sq_dists)
 from dplab.tradeoff import constrained_oracle, default_oracle_support, interpolate
-from dplab.transport import _staircase, w1_exact, w2sq_exact, w_1d_closed_form
+from dplab.transport import _assignment_tree, _staircase, w1_exact, w2sq_exact, w_1d_closed_form
 
 U4 = builtin_source("u4")
 GAUSS33 = builtin_source("gauss33")
@@ -75,7 +77,8 @@ def test_marginals_built_once_per_shape_and_read_only():
 
 def _recorded_lps(monkeypatch, run):
     """Positional arguments of every _lp.solve call made by run(); keyword
-    arguments (a starting basis) pass through unrecorded."""
+    arguments (a starting basis) pass through unrecorded. Only the recorder
+    is undone afterwards: the test's own patches stay."""
     calls = []
     solve = _lp.solve
 
@@ -83,12 +86,12 @@ def _recorded_lps(monkeypatch, run):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(_lp, "solve", record)
-    try:
-        run()
-    except ValueError:
-        pass
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(_lp, "solve", record)
+        try:
+            run()
+        except ValueError:
+            pass
     return calls
 
 
@@ -106,6 +109,10 @@ def _planar(seed, n):
     rng = np.random.default_rng(seed)
     w = rng.random(n)
     return make_distribution(rng.normal(size=(n, 2)), w / w.sum())
+
+
+def _uniform(points):
+    return make_distribution(points, np.full(len(points), 1 / len(points)))
 
 
 def _lp_cases():
@@ -583,14 +590,20 @@ def test_staircase_has_one_cell_per_step():
 
 
 def test_no_start_off_the_1d_large_path(monkeypatch):
-    # a 2-D LP above the gate and every LP at or below it set no basis; the
-    # gate is read at call time
+    # a non-uniform 2-D LP above the gate, uniform 2-D laws of unequal size
+    # or beside a non-uniform one, and every LP at or below it set no basis;
+    # the gate is read at call time
     log = []
     monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
     monkeypatch.setattr(_lp, "_SHARED", _StartLog(log))
     pa, pb = _planar(11, 96), _planar(12, 96)
     _assert_above_gate(monkeypatch, lambda: w1_exact(pa, pb))
     w1_exact(pa, pb)
+    rng = np.random.default_rng(46)
+    u96, u100 = _uniform(rng.normal(size=(96, 2))), _uniform(rng.normal(size=(100, 2)))
+    for a, b in ((u96, u100), (u96, pb), (pa, u96)):
+        for exact in (w1_exact, w2sq_exact):
+            _assert_above_gate(monkeypatch, lambda: exact(a, b))
     assert log and not any(entry[0] == "setBasis" for entry in log)
     for name, run in sorted(_lp_cases().items()):
         try:
@@ -653,3 +666,101 @@ def test_large_1d_plan_is_the_quantile_coupling(n):
     plan = w2sq_exact(a, b)
     assert np.allclose(plan.pi, _quantile_coupling(a.probs, b.probs), rtol=0, atol=1e-12)
     assert plan.cost == pytest.approx(w_1d_closed_form(a, b, 2), rel=1e-12)
+
+
+# --- above the gate, uniform laws of equal size: the assignment-tree start --
+
+
+def _lattice_laws():
+    """A 12 x 8 integer lattice and the same lattice scaled by 2: tied W1
+    costs whose rounding leaves negative cycles of a few ulps."""
+    grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(8.0), indexing="ij"), -1)
+    return _uniform(grid.reshape(-1, 2)), _uniform(2 * grid.reshape(-1, 2))
+
+
+def _assignment_cases():
+    rng = np.random.default_rng(44)
+    random = _uniform(rng.normal(size=(96, 2))), _uniform(rng.normal(size=(96, 2)) + 0.5)
+    return {
+        "w2-random": (w2sq_exact, *random),
+        "w1-random": (w1_exact, *random),
+        "w2-lattice-ties": (w2sq_exact, *_lattice_laws()),
+        "w1-lattice-ties": (w1_exact, *_lattice_laws()),
+    }
+
+
+def _cost(exact, a, b):
+    cost = sq_dists(a.points, b.points)
+    return np.sqrt(cost) if exact is w1_exact else cost
+
+
+@pytest.mark.parametrize("case", sorted(_assignment_cases()))
+def test_large_assignment_lp_starts_at_its_tree(monkeypatch, case):
+    # the start is set, HiGHS takes it as optimal, and the plan is a
+    # permutation over n at linear_sum_assignment's cost
+    exact, a, b = _assignment_cases()[case]
+    _assert_above_gate(monkeypatch, lambda: exact(a, b))
+    log = []
+    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
+    plan = exact(a, b)
+    assert log == [("setBasis", _highs.HighsStatus.kOk), ("run", 0)]
+    cost, n = _cost(exact, a, b), len(a.probs)
+    rows, cols = linear_sum_assignment(cost)
+    assert plan.cost == pytest.approx(cost[rows, cols].sum() / n, rel=1e-12)
+    perm = plan.pi.argmax(axis=1)
+    assert sorted(perm) == list(range(n))
+    assert np.allclose(plan.pi, np.eye(n)[perm] / n, rtol=0, atol=1e-12)
+
+
+def _tree_potentials(cells, c):
+    """Row and column potentials u, v with u[0] = 0 and u_i + v_j = c[i, j] on
+    the cells: a square system, singular unless the cells form a tree."""
+    n = len(c)
+    rows, cols = np.divmod(cells, n)
+    system = np.zeros((2 * n - 1, 2 * n))
+    system[np.arange(2 * n - 1), rows] = 1.0
+    system[np.arange(2 * n - 1), n + cols] = 1.0
+    uv = np.concatenate([[0.0], np.linalg.solve(system[:, 1:], c[rows, cols])])
+    return uv[:n], uv[n:]
+
+
+@pytest.mark.parametrize("case", ["random", "lattice-ties", "duplicated-points"])
+def test_assignment_tree_is_spanning(case):
+    # 2n - 1 distinct cells linking all n rows and n columns, every reduced
+    # cost at least minus the relaxation tolerance, every tree cell tight
+    rng = np.random.default_rng(45)
+    if case == "random":
+        c = sq_dists(rng.normal(size=(96, 2)), rng.normal(size=(96, 2)))
+    elif case == "lattice-ties":
+        a, b = _lattice_laws()
+        c = np.sqrt(sq_dists(a.points, b.points))
+    else:
+        pa, pb = rng.normal(size=(48, 2)), rng.integers(0, 3, size=(48, 2)).astype(float)
+        c = np.sqrt(sq_dists(np.repeat(pa, 2, axis=0), np.tile(pb, (2, 1))))
+    n = len(c)
+    cells = _assignment_tree(c)
+    assert cells is not None and len(set(cells.tolist())) == len(cells) == 2 * n - 1
+    rows, cols = np.divmod(cells, n)
+    graph = sparse.coo_array((np.ones(len(cells)), (rows, n + cols)), shape=(2 * n, 2 * n))
+    assert connected_components(graph, directed=False)[0] == 1
+    u, v = _tree_potentials(cells, c)
+    tol = transport._TIE_RTOL * n * np.abs(c).max()
+    reduced = c - u[:, None] - v[None, :]
+    assert reduced.min() >= -2 * tol
+    assert np.abs(reduced[rows, cols]).max() <= tol
+
+
+def test_tie_guard_keeps_the_lattice_tree(monkeypatch):
+    # without the relaxation tolerance, the lattice's few-ulp negative cycles
+    # keep distances falling until the pass limit: no tree, a cold start
+    a, b = _lattice_laws()
+    c = np.sqrt(sq_dists(a.points, b.points))
+    assert _assignment_tree(c) is not None
+    monkeypatch.setattr(transport, "_TIE_RTOL", 0.0)
+    assert _assignment_tree(c) is None
+    log = []
+    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
+    plan = w1_exact(a, b)
+    assert [entry[0] for entry in log] == ["run"] and log[0][1] > 0
+    rows, cols = linear_sum_assignment(c)
+    assert plan.cost == pytest.approx(c[rows, cols].sum() / len(c), rel=1e-12)
