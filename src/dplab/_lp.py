@@ -1,13 +1,13 @@
 """The one route to a linear program.
 
-Every dplab LP (transport, the constrained D(P) oracle, the augmented
-objective) is solved here by one direct call into scipy's HiGHS binding, with
-options built once, over nonnegative variables. In all three, each variable
-sits in exactly two equality rows: a mass row with coefficient 1 and a
-marginal row below it with a weight (1, or minus a cell's mass). `incidence`
-builds every equality matrix in CSC form from those two row indices and the
-weight; `marginals`, the transport pair, writes the same arrays directly and
-is cached per shape for the shapes the shared solver runs.
+Every dplab LP (transport, which the augmented objective reduces to, and the
+constrained D(P) oracle) is solved here by one direct call into scipy's HiGHS
+binding, with options built once, over nonnegative variables. In both, each
+variable sits in exactly two equality rows: a mass row with coefficient 1 and
+a marginal row below it with a weight (1, or minus a cell's mass). `incidence`
+builds the oracle's equality matrix in CSC form from those two row indices
+and the weight; `marginals`, the transport pair, writes the same arrays
+directly and is cached per shape for the shapes the shared solver runs.
 
 The model goes to HiGHS as the CSC arrays themselves. LPs of at most
 SHARED_MAX_COLS columns share one solver instance: passing a model clears the
@@ -31,10 +31,10 @@ callers are transport LPs: the north-west-corner staircase of a 1-D one, and
 the optimal assignment completed to a tree of tight cells for one between
 uniform laws of equal size. HiGHS confirms either optimal without a pivot.
 Small LPs keep presolve and HiGHS's own start, as every pinned output was
-solved that way; the largest pinned LP has 5,032 columns. Outputs whose LPs
-exceed the gate (transport between sources of about 91 points and more,
-theorem2's augmented LPs on gauss33 at rate 3) move in their last digits, or
-pick another optimum where the LP has several.
+solved that way; the largest pinned LP, the oracle's on gauss33 at rate 2,
+has 5,032 columns. Outputs whose LPs exceed the gate (transport between
+sources of about 91 points and more) move in their last digits, or pick
+another optimum where the LP has several.
 """
 from __future__ import annotations
 

@@ -7,7 +7,9 @@ scored by
 
 where the pair laws live on concatenated (x̂, x_d) vectors with Euclidean
 ground cost. Both terms are linear in q once the W1 coupling is made a
-variable, so the exact minimizer comes out of a single LP. The optimal
+variable, so the exact minimizer comes out of a single LP, solved as the
+transport LP it reduces to: between source atoms and distinct gd values, each
+pair taking its cheapest output x̂, which sits in no constraint. The optimal
 structure flips at lambda = 1: below it the decoder reproduces the joint law
 of (X, Xd) exactly (MSE doubles), above it the decoder collapses onto Xd
 (MSE minimal). phase_sweep traces that step.
@@ -19,7 +21,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import _lp
 from ._format import csv_text
 from .codec import (
     DeterministicDecoder,
@@ -37,7 +38,9 @@ from .distcore import (
     make_distribution,
     sq_dists,
 )
-from .transport import SIZE_CAP, w1_exact
+from .transport import SIZE_CAP, solve_transport_lp, w1_exact
+
+# Bounds the full LP's size nv*m*n + nv*m, now that of the (nv, m, n) cost array.
 LP_VARIABLE_CAP = 2_000_000
 INDETERMINATE_BAND = 1e-9
 
@@ -100,8 +103,9 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
 
     Decoder rows are keyed by distinct gd values (the decoder sees Xd), then
     expanded back to code-indexed rows; with a bijective gd the two views
-    coincide. Variables are the row pmfs q(x̂|xd) together with a coupling
-    between the (X̂, Xd) law (linear in q) and the fixed (X, Xd) law.
+    coincide. The LP's variables are the row pmfs q(x̂|xd) together with a
+    coupling between the (X̂, Xd) law (linear in q) and the fixed (X, Xd)
+    law; it is solved as its n × nv transport reduction.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -129,31 +133,27 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
     if nv * m * n + nv * m > LP_VARIABLE_CAP:
         raise ValueError("LP size cap exceeded")
 
-    # Y atoms: (x_i, gd[z(x_i)]) with the source mass.
+    # Y atoms: (x_i, gd[z(x_i)]) with the source mass; Ŷ atoms: (out_m,
+    # value_v) carrying mass pv[v] * q[v, m], v-major.
     y_pts = np.hstack([source.points, gd.table[enc.assignment]])
-    # Ŷ atoms: (out_m, value_v) carrying mass pv[v] * q[v, m].
+    hat = np.hstack([np.tile(sup, (nv, 1)), np.repeat(values, m, axis=0)])
     dev = np.sqrt(sq_dists(values, sup))
-    # gamma cost: distance between Ŷ atom (m, v) and Y atom y on R^{2d}.
-    hat_x = np.repeat(sup[None, :, :], nv, axis=0).reshape(nv * m, -1)
-    hat_v = np.repeat(values[:, None, :], m, axis=1).reshape(nv * m, -1)
-    gamma_cost = np.sqrt(sq_dists(np.hstack([hat_x, hat_v]), y_pts))
-
-    nq = nv * m
-    c = np.concatenate([(lam * pv[:, None] * dev).reshape(-1), gamma_cost.reshape(-1)])
-    # q(v, j) sits in pmf row v and in Ŷ-law row nv + v*m + j with weight
-    # -p(v); gamma(t, i) in Ŷ-law row nv + t and in Y-law row nv + nq + i
-    a_eq = _lp.incidence(
-        np.concatenate([np.repeat(np.arange(nv), m), nv + np.repeat(np.arange(nq), n)]),
-        np.concatenate([nv + np.arange(nq), np.tile(np.arange(nv + nq, nv + nq + n), nq)]),
-        np.concatenate([-np.repeat(pv, m), np.ones(nq * n)]),
-        nv + nq + n,
-    )
-    b_eq = np.concatenate([np.ones(nv), np.zeros(nq), source.probs])
-    res = _lp.solve(c, a_eq, b_eq)
-    if res.status != 0:
-        raise ValueError(f"augmented LP failed: {res.message}")
-
-    qv = np.maximum(res.x[:nq].reshape(nv, m), 0.0)
+    # The Ŷ-law rows pin pv[v] q(v, m) = Σ_i gamma((v, m), i). Substituted,
+    # gamma(v, m, i) costs lam dev[v, m] plus the R^{2d} distance from Ŷ atom
+    # (m, v) to Y atom i, and m sits in no constraint, so each (i, v) sends
+    # its mass through its cheapest m.
+    cost3 = lam * dev[:, :, None] + np.sqrt(sq_dists(hat, y_pts)).reshape(nv, m, n)
+    best = cost3.argmin(axis=1)
+    pi = solve_transport_lp(cost3.min(axis=1).T, source.probs, pv).pi
+    # each atom carries exactly p_i, split over v as its plan row is
+    rows = pi.sum(axis=1, keepdims=True)
+    mass = source.probs[:, None] * np.divide(pi, rows, out=np.zeros_like(pi), where=rows > 0)
+    qv = np.zeros((nv, m))
+    np.add.at(qv, (np.arange(nv)[None, :], best.T), mass)
+    qv /= pv[:, None]
+    # a value whose mass the LP cannot resolve goes to its cheapest output
+    empty = qv.sum(axis=1) <= 0
+    qv[empty, (lam * dev[empty]).argmin(axis=1)] = 1.0
     qv = qv / qv.sum(axis=1, keepdims=True)
     dec = StochasticDecoder(sup, qv[val_of_z])
 

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from dplab.augmented import (
     PHASE_COLUMNS,
@@ -16,9 +20,10 @@ from dplab.codec import (
     Encoder,
     StochasticDecoder,
     exhaustive_optimal_encoder,
+    mmse_decoder_for,
     perceptual_decoder_for,
 )
-from dplab.distcore import builtin_source
+from dplab.distcore import builtin_source, make_distribution, sq_dists
 
 U4 = builtin_source("u4")
 
@@ -186,3 +191,70 @@ def test_phase_on_gaussian_grid():
     hi = solve_augmented(src, enc, gd, 1.5)
     assert lo.w1_gap <= 1e-8 and abs(lo.mse - 2 * d_d) <= 1e-8
     assert hi.mean_dev <= 1e-8 and abs(hi.mse - d_d) <= 1e-8
+
+
+@st.composite
+def _augmented_cases(draw):
+    """A 1-D or 2-D source of K..7 atoms, a K-cell encoder (K in 2..4) with
+    every cell filled, its conditional-mean gd (sometimes with two cells
+    sharing one value), an out_support with extra points and a lambda."""
+    dim = draw(st.sampled_from([1, 2]))
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(min_value=k, max_value=7))
+    lattice = st.tuples(*[st.integers(min_value=-6, max_value=6)] * dim)
+    pts = draw(st.lists(lattice, min_size=n, max_size=n, unique=True))
+    w = np.asarray(draw(st.lists(st.integers(min_value=1, max_value=9),
+                                 min_size=n, max_size=n)), dtype=np.float64)
+    source = make_distribution(np.asarray(pts, dtype=np.float64) / 2.0, w / w.sum())
+    cells = draw(st.permutations(range(k)))
+    rest = draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                         min_size=n - k, max_size=n - k))
+    enc = Encoder(np.asarray(list(cells) + rest), k)
+    gd = mmse_decoder_for(source, enc)
+    if draw(st.booleans()):
+        table = gd.table.copy()
+        table[1] = table[0]
+        gd = DeterministicDecoder(table)
+    extra = draw(st.lists(lattice, min_size=1, max_size=3))
+    sup = np.vstack([source.points, gd.table, np.asarray(extra, dtype=np.float64) / 4.0])
+    lam = draw(st.sampled_from([0.0, 0.3, 1.0, 1.01, 3.0]))
+    return source, enc, gd, sup, lam
+
+
+def _full_lp_optimum(source, enc, gd, sup, lam):
+    """Optimum of the augmented LP over (q, gamma), built in full: pmf rows of
+    q, Ŷ-law rows pv[v] q(v, m) = Σ_i gamma((v, m), i), Y-law rows."""
+    values, val_of_z = np.unique(gd.table, axis=0, return_inverse=True)
+    sup = np.unique(sup, axis=0)
+    pv = np.zeros(len(values))
+    np.add.at(pv, val_of_z.reshape(-1), np.bincount(enc.assignment, source.probs, enc.K))
+    nv, m, n = len(values), len(sup), source.n
+    nq = nv * m
+    dev = np.sqrt(sq_dists(values, sup))
+    hat = np.hstack([np.tile(sup, (nv, 1)), np.repeat(values, m, axis=0)])
+    y_pts = np.hstack([source.points, gd.table[enc.assignment]])
+    c = np.concatenate([(lam * pv[:, None] * dev).ravel(), np.sqrt(sq_dists(hat, y_pts)).ravel()])
+    def row_sums(r, k):
+        return sparse.kron(sparse.eye(r), np.ones((1, k)))
+
+    a_eq = sparse.bmat([[row_sums(nv, m), None],
+                        [sparse.diags(-np.repeat(pv, m)), row_sums(nq, n)],
+                        [None, sparse.kron(np.ones((1, nq)), sparse.eye(n))]], format="csr")
+    b_eq = np.concatenate([np.ones(nv), np.zeros(nq), source.probs])
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@given(_augmented_cases())
+@settings(max_examples=60, deadline=None)
+def test_transport_reduction_matches_full_lp(case):
+    # the n × nv transport LP solve_augmented runs has the full LP's optimum,
+    # and its decoder attains it
+    source, enc, gd, sup, lam = case
+    ref = _full_lp_optimum(source, enc, gd, sup, lam)
+    sol = solve_augmented(source, enc, gd, lam, out_support=sup)
+    assert sol.objective == pytest.approx(ref, rel=1e-12, abs=1e-14)
+    recomputed = augmented_objective(source, enc, gd, sol.decoder, lam)
+    assert recomputed == pytest.approx(ref, rel=1e-12, abs=1e-14)
+    assert np.allclose(sol.decoder.table.sum(axis=1), 1.0, rtol=0, atol=1e-12)

@@ -5,12 +5,14 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dplab
+from dplab.augmented import solve_augmented
 from dplab.cli import (
     build_parser,
     load_source,
@@ -19,7 +21,7 @@ from dplab.cli import (
     parse_lambda_list,
 )
 from dplab.codec import exhaustive_optimal_encoder, perceptual_decoder_for
-from dplab.distcore import builtin_source
+from dplab.distcore import builtin_source, make_distribution
 
 SWEEP_GOLDEN = (
     "alpha,D_measured,P_measured,D_predicted,P_predicted,D_d,P_d\n"
@@ -535,26 +537,51 @@ def test_rate_above_62_message(capsys, rate):
     assert "rate must be ≤ 62" in capsys.readouterr().err
 
 
+# D_d ≈ 1e-58 and masses down to 7e-49: below what the LPs can resolve
+FLAT_SOURCE = {
+    "points": [[7.701003116608736e-13, -1.639743927473182e-13],
+               [7.701003116608744e-13, -1.6397439274731838e-13],
+               [-1.0497298581965886e-12, -1.619902676466445e-12],
+               [-7.810775372671155e-14, 1.0766378175254604e-13],
+               [-1.2551643220875788e-13, 6.125551576693115e-13],
+               [-1.9776704938669993e-12, 5.594844877840935e-13]],
+    "probs": [0.02335861653118443, 6.1116469338897e-08, 2.1411157476106878e-15,
+              0.559606706850548, 7.266667144097955e-49, 0.4170346155017961]}
+
+
 def test_verify_flat_distortion_steps_fail_without_traceback(capsys, tmp_path):
     # the LPs cannot resolve this source (D_d ≈ 1e-58, measured P_d ≈ 3e-24),
     # so D(α) repeats between sweep points and a finite difference has
     # ΔD = 0: derivative_consistency must FAIL and count those steps
     src = tmp_path / "flat.json"
-    src.write_text(json.dumps({
-        "points": [[7.701003116608736e-13, -1.639743927473182e-13],
-                   [7.701003116608744e-13, -1.6397439274731838e-13],
-                   [-1.0497298581965886e-12, -1.619902676466445e-12],
-                   [-7.810775372671155e-14, 1.0766378175254604e-13],
-                   [-1.2551643220875788e-13, 6.125551576693115e-13],
-                   [-1.9776704938669993e-12, 5.594844877840935e-13]],
-        "probs": [0.02335861653118443, 6.1116469338897e-08, 2.1411157476106878e-15,
-                  0.559606706850548, 7.266667144097955e-49, 0.4170346155017961]}))
+    src.write_text(json.dumps(FLAT_SOURCE))
     assert main(["verify", "--source", str(src), "--rate", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
     line = next(ln for ln in captured.out.split("\n")
                 if ln.startswith("FAIL derivative_consistency:"))
     assert re.search(r"; ΔD = 0 at [1-9]\d* of 99 steps$", line), line
+
+
+def test_augmented_rows_stay_pmfs_on_unresolved_mass(capsys, tmp_path):
+    # a gd value may get no mass from the transport plan on this source; its
+    # decoder row must still be a pmf, with no 0/0, and verify must still
+    # reach the ΔD = 0 FAIL line
+    source = make_distribution(FLAT_SOURCE["points"], FLAT_SOURCE["probs"])
+    enc, gd, _ = exhaustive_optimal_encoder(source, 4)
+    src = tmp_path / "flat.json"
+    src.write_text(json.dumps(FLAT_SOURCE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0):
+            table = solve_augmented(source, enc, gd, lam).decoder.table
+            assert np.isfinite(table).all()
+            assert np.allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-12), lam
+        assert main(["verify", "--source", str(src), "--rate", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert re.search(r"^FAIL derivative_consistency: .*; ΔD = 0 at [1-9]\d* of 99 steps$",
+                     captured.out, re.M), captured.out
 
 
 def test_perception_error_message(capsys):

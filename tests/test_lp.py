@@ -192,17 +192,11 @@ def _oracle_reference(source, enc, b_eq):
                         [-_col_sums(k, m, pz), _col_sums(n, m)]], format="csr")
 
 
-def _augmented_reference(source, enc, gd, b_eq):
-    """solve_augmented's equality block, stitched from blocks with sparse.bmat."""
-    values, val_of_z = np.unique(gd.table, axis=0, return_inverse=True)
-    pv = np.zeros(values.shape[0])
-    np.add.at(pv, val_of_z.reshape(-1), joint_from_encoder(source, enc).sum(axis=1))
-    nv, n = len(pv), source.n
-    nq = len(b_eq) - nv - n
-    m = nq // nv
-    return sparse.bmat([[_row_sums(nv, m), None],
-                        [sparse.diags(-np.repeat(pv, m)), _row_sums(nq, n)],
-                        [None, _col_sums(nq, n)]], format="csr")
+def _augmented_reference(source, gd):
+    """solve_augmented's LP, the n × nv transport reduction: source atoms'
+    row sums stacked over the gd values' column sums, with sparse.vstack."""
+    nv, n = np.unique(gd.table, axis=0).shape[0], source.n
+    return sparse.vstack([_row_sums(n, nv), _col_sums(n, nv)], format="csr")
 
 
 def _handed_to_highs(a_eq, a_ub=None):
@@ -232,12 +226,13 @@ def test_oracle_and_augmented_matrices_match_block_assembly(monkeypatch, scenari
         runs = [lambda f=f: constrained_oracle(source, enc, f * d_d, sup) for f in (0.0, 0.5)]
         runs += [lambda lam=lam: solve_augmented(source, enc, gd, lam) for lam in (0.5, 2.0)]
     for run in runs:
-        # the first LP is the oracle's or the augmented one; W1 LPs follow the latter
+        # the first LP is the oracle's or the augmented transport reduction;
+        # W1 LPs follow the latter
         _, a_eq, b_eq, *ineq = _recorded_lps(monkeypatch, run)[0]
         if ineq:  # the oracle, whose perception row is the one inequality
             ref = _oracle_reference(source, enc, b_eq)
         else:
-            ref = _augmented_reference(source, enc, gd, b_eq)
+            ref = _augmented_reference(source, gd)
         _assert_same_csc(a_eq.tocsc(), ref.tocsc())
         _assert_same_csc(_handed_to_highs(a_eq, *ineq[:1]), _handed_to_highs(ref, *ineq[:1]))
     if scenario == "u4-empty-cell":
