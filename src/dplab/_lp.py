@@ -18,23 +18,22 @@ its work arrays do not stay resident, and x, y and the certificate's
 temporaries are never allocated beside them. Each solve is then checked by a
 primal/dual certificate instead of linprog's looser feasibility check.
 
-The same size gate picks the options and the start. The shared instance
-holds exactly the options `linprog(method="highs", options=HIGHS_OPTIONS)`
-would pass, and a fresh one those of `options={**HIGHS_OPTIONS, "presolve":
-False}`, so from HiGHS's own start the returned x is the same to the bit as
-linprog's with the matching options (tests/test_lp.py holds both). On a
-transport LP presolve removes only the one redundant marginal row (both
-marginals sum to one mass), then postsolves and finishes on the original LP;
-above the gate that round trip costs about half of run()'s time and memory.
-Only a fresh, presolve-free instance takes a caller's starting basis. The
-callers are transport LPs: the north-west-corner staircase of a 1-D one, and
-the optimal assignment completed to a tree of tight cells for one between
-uniform laws of equal size. HiGHS confirms either optimal without a pivot.
-Small LPs keep presolve and HiGHS's own start, as every pinned output was
-solved that way; the largest pinned LP, the oracle's on gauss33 at rate 2,
-has 5,032 columns. Outputs whose LPs exceed the gate (transport between
-sources of about 91 points and more) move in their last digits, or pick
-another optimum where the LP has several.
+The same size gate picks the options. The shared instance holds exactly the
+options `linprog(method="highs", options=HIGHS_OPTIONS)` would pass, and a
+fresh one those of `options={**HIGHS_OPTIONS, "presolve": False}`, so the
+returned x is the same to the bit as linprog's with the matching options
+(tests/test_lp.py holds both). On a transport LP presolve removes only the
+one redundant marginal row (both marginals sum to one mass), then postsolves
+and finishes on the original LP; above the gate that round trip costs about
+half of run()'s time and memory. Small LPs keep presolve, as every pinned
+output was solved that way; the largest pinned LP, the oracle's on gauss33 at
+rate 2, has 5,032 columns. Outputs whose LPs exceed the gate (transport
+between sources of about 91 points and more) move in their last digits, or
+pick another optimum where the LP has several.
+
+`certify` is the one verdict on a primal/dual pair, whoever produced it:
+`solve` applies it to HiGHS's solution, and transport to the optimum it
+builds itself for a structured LP above the gate.
 """
 from __future__ import annotations
 
@@ -160,26 +159,18 @@ def _build_marginals(r: int, c: int) -> sparse.csc_array:
 _marginals_cached = functools.lru_cache(maxsize=64)(_build_marginals)
 
 
-def solve(c, a_eq, b_eq, a_ub=None, b_ub=None, *, start=None) -> LPResult:
+def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     """min c·x s.t. a_eq x = b_eq, a_ub x <= b_ub, x >= 0, by the HiGHS solver.
 
-    The size gate, SHARED_MAX_COLS columns, picks the instance, the options
-    and the start. LPs at or below it run on one shared solver instance with
-    presolve from HiGHS's own start; start is ignored there. Larger ones
-    run on a fresh instance each without presolve, freed once its solution is
-    read and before x and y are copied out and certified. There start, a pair
-    (basic columns, basic rows) naming exactly one basic variable per row,
-    every other column and row nonbasic at its lower bound, is handed to
-    HiGHS as the starting basis (transport's staircase and assignment-tree
-    starts are the callers). It is only a hint: a basis HiGHS refuses
-    leaves the solve cold, and every solution passes the same certificate.
-    Passing the model resets the solver, so no basis carries over between
-    solves either way. Non-finite data, a constraint entry reaching HiGHS's
+    The size gate, SHARED_MAX_COLS columns, picks the instance and the
+    options. LPs at or below it run on one shared solver instance with
+    presolve. Larger ones run on a fresh instance each without presolve,
+    freed once its solution is read and before x and y are copied out and
+    certified. Passing the model resets the solver, so no basis carries over
+    between solves. Non-finite data, a constraint entry reaching HiGHS's
     large_matrix_value or a cost reaching its infinite_cost raise ValueError:
     HiGHS would refuse the model or treat the cost as infinite. A solution
-    whose certificate fails (scaled primal residual or bound violation above
-    CERT_TOL, reduced cost or duality gap beyond CERT_TOL·max(1, ‖c‖∞)) comes
-    back with status 4.
+    that fails `certify` comes back with its status 4.
     Callers map a nonzero status to their own error.
     """
     c = np.asarray(c, dtype=np.float64)
@@ -200,7 +191,7 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None, *, start=None) -> LPResult:
             raise ValueError(f"LP {name} {top:.3g} reaches HiGHS {limit} {bound:.3g}")
     n_row, n_col = a.shape
     if n_col <= SHARED_MAX_COLS:
-        highs, start = _SHARED, None
+        highs = _SHARED
     else:
         highs = _solver()
         _pass_options(highs, _LARGE_OPTIONS)
@@ -215,8 +206,6 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None, *, start=None) -> LPResult:
         ) == _highs.HighsStatus.kError:
             model_status = _highs.HighsModelStatus.kModelError
             return _failed(model_status, highs.modelStatusToString(model_status))
-        if start is not None:
-            _set_start(highs, n_col, n_row, *start)
         run_status = highs.run()
         model_status = highs.getModelStatus()
         if run_status == _highs.HighsStatus.kError:
@@ -234,37 +223,22 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None, *, start=None) -> LPResult:
     y = np.array(solution.row_dual)
     del solution
 
+    return certify(a, c, b_eq, b_ub, x, y)
+
+
+def certify(a, c, b_eq, b_ub, x, y) -> LPResult:
+    """x as an optimum (status 0) if the pair (x, y) passes the certificate,
+    else status 4: a scaled primal residual or bound violation above
+    CERT_TOL, or a reduced cost or duality gap beyond CERT_TOL·max(1, ‖c‖∞).
+    The arguments are certificate's.
+    """
     primal, dual, gap = certificate(a, c, b_eq, b_ub, x, y)
-    scale = max(1.0, float(top_c))
+    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
     if not (primal <= CERT_TOL and dual <= CERT_TOL * scale and gap <= CERT_TOL * scale):
         return LPResult(None, 4, f"LP certificate failed: primal residual {primal:.3g}, "
                                  f"dual infeasibility {dual:.3g}, duality gap {gap:.3g} "
                                  f"(scale {scale:.3g})")
     return LPResult(x, 0, "Optimization terminated successfully.")
-
-
-def _set_start(highs: _highs._Highs, n_col: int, n_row: int, cols, rows) -> None:
-    """Hand HiGHS a basis in which cols and rows are basic.
-
-    HiGHS refuses a basis whose status lists do not fit the model or that
-    does not make exactly one variable basic per row; a refused basis leaves
-    the instance as it was, so run() starts cold. Bindings that have the
-    `alien` field default it to true, which makes setBasis repair and factor
-    the basis once more before run(): on a 128x128 transport LP that took
-    about 4 ms of 12 and raised a large-lp process's peak RSS by about 1 MB
-    (2-core x86-64, scipy 1.17.1), so it is turned off. The status lists and
-    the basis object are dropped with this frame, before run() allocates.
-    """
-    lower, basic = _highs.HighsBasisStatus.kLower, _highs.HighsBasisStatus.kBasic
-    basis = _highs.HighsBasis()
-    for attr, size, chosen in (("col_status", n_col, cols), ("row_status", n_row, rows)):
-        status = [lower] * size
-        for k in np.asarray(chosen).tolist():
-            status[k] = basic
-        setattr(basis, attr, status)
-    if hasattr(basis, "alien"):
-        basis.alien = False
-    highs.setBasis(basis)
 
 
 def certificate(a, c, b_eq, b_ub, x, y) -> tuple:

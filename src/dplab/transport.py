@@ -5,16 +5,16 @@ squared-Euclidean ground cost; w_1d_closed_form is a deliberately independent
 1-D oracle (CDF area for order 1, quantile pairing for order 2) used to check
 the LP route. Only the cost is contract-bearing when the optimal plan is
 degenerate. Ties among plans are broken by the solver's deterministic pivots,
-except in two kinds of LP above _lp.SHARED_MAX_COLS, which start from an
-optimal basis that HiGHS confirms without a pivot:
+except in two kinds of LP above _lp.SHARED_MAX_COLS, whose optimum is built
+here with its duals and certified by _lp.certify, else solved cold:
 - 1-D laws: sorted 1-D supports make both costs Monge arrays, so the
-  north-west-corner staircase is an optimal basis (Hoffman 1963), and the
-  plan returned is the monotone (quantile) coupling;
+  north-west-corner staircase is optimal (Hoffman 1963), and the plan
+  returned is the monotone (quantile) coupling;
 - other laws of equal size n with uniform masses: some permutation is optimal
   (Birkhoff 1946). linear_sum_assignment finds one, and shortest paths over
-  its alternating arcs complete it to a tree of 2n - 1 tight cells. The plan
-  returned is that permutation over n; where several permutations tie, it
-  may differ from a cold start's, at the same cost up to rounding.
+  its alternating arcs give its duals. The plan returned is that permutation
+  over n; where several permutations tie, it may differ from a cold solve's,
+  at the same cost up to rounding.
 """
 from __future__ import annotations
 
@@ -27,9 +27,9 @@ from .distcore import DiscreteDistribution, sq_dists
 
 SIZE_CAP = 512
 # _assignment_tree's least relaxation step, relative to n·max|c|: above the
-# few-ulp negative cycles that tied costs leave, and below HiGHS's 1e-10 dual
-# tolerance while n·max|c| stays under about 4e5 (beyond that HiGHS may pivot
-# away from the start).
+# few-ulp negative cycles that tied costs leave, and at SIZE_CAP points still
+# far below CERT_TOL·max(1, ‖c‖∞), the certificate's bound on the negative
+# reduced costs it leaves (n·eps ≤ 1.2e-13 against 1e-9).
 _TIE_RTOL = float(np.finfo(np.float64).eps)
 
 
@@ -47,14 +47,12 @@ def solve_transport_lp(cost, row_probs, col_probs, *, _monge: bool = False) -> T
     Solved with the HiGHS simplex at 1e-10 feasibility/optimality tolerances,
     which returns an optimal basic solution. Marginal totals may differ by at
     most 1e-9; the column side is rescaled to close that drift before solving.
-    HiGHS starts from its own basis, except in an LP above
-    _lp.SHARED_MAX_COLS that is one of two kinds:
-    - w1_exact and w2sq_exact say (_monge, internal to this module) that the
-      cost is a Monge array, on sorted 1-D supports: it starts from the
-      north-west-corner staircase over the rescaled marginals;
-    - otherwise, nr == nc and each marginal is uniform: it starts from
-      _assignment_tree(c), an optimal permutation completed to a spanning
-      tree of tight cells, or cold if tied costs keep that tree from forming.
+    Above _lp.SHARED_MAX_COLS a structured LP is certified, else solved cold:
+    _staircase(a, b, c) where w1_exact or w2sq_exact say (_monge, internal to
+    this module) that the cost is a Monge array on sorted 1-D supports, else
+    _assignment_tree(c, a[0]) where nr == nc and each marginal is uniform. An
+    optimum that fails _lp.certify, or duals that do not settle, go to the
+    cold solve, so every plan returned passes the same certificate.
     """
     c = np.asarray(cost, dtype=np.float64)
     a = np.asarray(row_probs, dtype=np.float64).reshape(-1)
@@ -76,16 +74,17 @@ def solve_transport_lp(cost, row_probs, col_probs, *, _monge: bool = False) -> T
 
     # pi[i, j] sits in row-marginal row i and column-marginal row nr + j; one
     # equality is redundant but consistent, which HiGHS handles with presolve
-    # (small LPs) or without it (above _lp.SHARED_MAX_COLS). A start makes
-    # the last row's slack basic beside a tree's nr + nc - 1 cells.
-    cells = None
+    # (small LPs) or without it (above _lp.SHARED_MAX_COLS).
+    flat, a_eq, b_eq = c.reshape(-1), _lp.marginals(nr, nc), np.concatenate([a, b])
+    optimum = None
     if nr * nc > _lp.SHARED_MAX_COLS:
         if _monge:
-            cells = _staircase(a, b)
+            optimum = _staircase(a, b, c)
         elif nr == nc and (a == a[0]).all() and (b == b[0]).all():
-            cells = _assignment_tree(c)
-    start = None if cells is None else (cells, [nr + nc - 1])
-    res = _lp.solve(c.reshape(-1), _lp.marginals(nr, nc), np.concatenate([a, b]), start=start)
+            optimum = _assignment_tree(c, a[0])
+    res = None if optimum is None else _lp.certify(a_eq, flat, b_eq, np.empty(0), *optimum)
+    if res is None or res.status != 0:
+        res = _lp.solve(flat, a_eq, b_eq)
     if res.status != 0:
         raise ValueError(f"transport LP failed: {res.message}")
     pi = np.maximum(res.x.reshape(nr, nc), 0.0)
@@ -93,52 +92,62 @@ def solve_transport_lp(cost, row_probs, col_probs, *, _monge: bool = False) -> T
     return TransportPlan(pi=pi, cost=realized)
 
 
-def _staircase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat indices of the north-west-corner basis for masses a and b: the
-    nr + nc - 1 cells from (0, 0) to (nr - 1, nc - 1), one index advancing
-    per step.
+def _staircase(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+    """The north-west-corner plan for masses a and b and its duals, as the
+    flat x and y = (u, v) of the transport LP with cost c.
 
+    The staircase runs over nr + nc - 1 cells from (0, 0) to (nr - 1, nc - 1).
     Step k advances the row if the k-th smallest inner cumulative mass,
-    cumsum(a)[:-1] merged stably with cumsum(b)[:-1], is a row's; rows go
-    first on ties, so a tie adds a basic cell at zero mass instead of
-    skipping a corner.
+    cumsum(a)[:-1] merged stably with cumsum(b)[:-1], is a row's, else the
+    column; rows go first on ties, so a tie puts zero mass on a cell instead
+    of skipping a corner. Each cell carries the step between consecutive
+    merged cumulative masses. With u_0 = 0 and v_0 = c[0, 0], a row step adds
+    its cost difference to u and a column step to v, so every staircase cell
+    is tight; on a Monge cost every other reduced cost is nonnegative.
     """
     nr, nc = len(a), len(b)
-    merged = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
-    col_step = np.argsort(merged, kind="stable") >= nr - 1
+    ca = np.cumsum(a)
+    merged = np.concatenate([ca[:-1], np.cumsum(b)[:-1]])
+    order = np.argsort(merged, kind="stable")
+    col_step = order >= nr - 1
     rows = np.concatenate([[0], np.cumsum(~col_step)])
     cols = np.concatenate([[0], np.cumsum(col_step)])
-    return rows * nc + cols
+    x = np.zeros(nr * nc)
+    x[rows * nc + cols] = np.diff(np.concatenate([[0.0], merged[order], ca[-1:]]))
+    rise = np.diff(c[rows, cols])
+    u = np.concatenate([[0.0], np.cumsum(rise[~col_step])])
+    v = np.concatenate([[0.0], np.cumsum(rise[col_step])]) + c[0, 0]
+    return x, np.concatenate([u, v])
 
 
-def _assignment_tree(c: np.ndarray):
-    """Flat indices of an optimal basis for the n x n cost c under uniform
-    marginals, the 2n - 1 cells of a tree whose every cell is tight; None if
-    no tree was found.
+def _assignment_tree(c: np.ndarray, mass: float):
+    """An optimal plan for the n x n cost c under uniform marginals of the
+    given mass, and its duals, as the flat x and y = (u, v) of the transport
+    LP; None if the duals did not settle.
 
     Some permutation is optimal (Birkhoff 1946): linear_sum_assignment gives
-    one, σ. Row potentials u are shortest-path distances from row 0 over the
-    arcs k -> i of length c[i, σk] - c[k, σk], which has no negative cycle
-    because σ is optimal; with column potentials c[k, σk] - u_k every reduced
-    cost is nonnegative. Bellman-Ford passes over the rows whose distance
-    fell last pass find u and each row's predecessor. The cells (i, σi) and,
-    for each row i but row 0, (i, σ(pred i)) are then tight and connect all
-    2n rows and columns, so the basis is primal and dual feasible.
+    one, σ, and x puts mass on each cell (k, σk). Row potentials u are
+    shortest-path distances from row 0 over the arcs k -> i of length
+    c[i, σk] - c[k, σk], which has no negative cycle because σ is optimal;
+    Bellman-Ford passes over the rows whose distance fell last pass find
+    them. With column potentials v[σk] = c[k, σk] - u_k the cells (k, σk)
+    are tight and every reduced cost c[i, σk] - u_i - v[σk] is the arc's
+    slack, nonnegative at the shortest paths.
 
     Tied costs make cycles of a few ulps below zero; relaxing on those would
-    loop until the pass limit and leave cycles among the predecessors. So a
-    distance falls only by more than n·eps·max|c|, every reduced cost is then
-    at least minus that, and predecessors that do not all lead to row 0 (or
-    a pass limit reached) give None, a cold start.
+    loop until the pass limit. So a distance falls only by more than
+    n·eps·max|c|, every reduced cost is then at least minus that, and a pass
+    limit reached gives None, a cold solve.
     """
     from scipy.optimize import linear_sum_assignment  # only these LPs need it
 
     n = len(c)
     sigma = linear_sum_assignment(c)[1]
+    matched = c[np.arange(n), sigma]
     arc = c[:, sigma].T
-    arc -= c[np.arange(n), sigma][:, None]  # arc[k, i]: from row k to row i
+    arc -= matched[:, None]  # arc[k, i]: from row k to row i
     tol = _TIE_RTOL * n * np.abs(c).max()
-    dist, pred = arc[0].copy(), np.zeros(n, dtype=np.intp)
+    dist = arc[0].copy()
     changed = np.arange(1, n)
     for _ in range(n):
         via = arc[changed]
@@ -148,17 +157,14 @@ def _assignment_tree(c: np.ndarray):
         if not len(fell):
             break
         dist[fell] = best[fell]
-        pred[fell] = changed[via[:, fell].argmin(axis=0)]
         changed = fell
     else:
         return None
-    root = pred.copy()
-    for _ in range(n.bit_length()):
-        root = root[root]
-    if pred[0] != 0 or root.any():
-        return None
-    rows = np.arange(n)
-    return np.concatenate([rows * n + sigma, rows[1:] * n + sigma[pred[1:]]])
+    x = np.zeros(n * n)
+    x[np.arange(n) * n + sigma] = mass
+    v = np.empty(n)
+    v[sigma] = matched - dist
+    return x, np.concatenate([dist, v])
 
 
 def _w_exact(a: DiscreteDistribution, b: DiscreteDistribution, order: int) -> TransportPlan:

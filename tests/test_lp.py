@@ -3,7 +3,6 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.optimize._highspy import _core as _highs
-from scipy.sparse.csgraph import connected_components
 
 from dplab import _lp, transport
 from dplab._lp import CERT_TOL, HIGHS_OPTIONS, certificate, incidence, marginals
@@ -76,15 +75,14 @@ def test_marginals_built_once_per_shape_and_read_only():
 
 
 def _recorded_lps(monkeypatch, run):
-    """Positional arguments of every _lp.solve call made by run(); keyword
-    arguments (a starting basis) pass through unrecorded. Only the recorder
-    is undone afterwards: the test's own patches stay."""
+    """Arguments of every _lp.solve call made by run(). Only the recorder is
+    undone afterwards: the test's own patches stay."""
     calls = []
     solve = _lp.solve
 
-    def record(*args, **kwargs):
+    def record(*args):
         calls.append(args)
-        return solve(*args, **kwargs)
+        return solve(*args)
 
     with monkeypatch.context() as m:
         m.setattr(_lp, "solve", record)
@@ -441,6 +439,33 @@ def _assert_above_gate(monkeypatch, run):
     assert lps and min(args[0].size for args in lps) > _lp.SHARED_MAX_COLS
 
 
+def _verdicts(monkeypatch):
+    """(columns, status) of every _lp.certify call from now on, in order."""
+    verdicts = []
+    certify = _lp.certify
+
+    def record(*args):
+        res = certify(*args)
+        verdicts.append((args[1].size, res.status))
+        return res
+
+    monkeypatch.setattr(_lp, "certify", record)
+    return verdicts
+
+
+def _certified(monkeypatch, run):
+    """run()'s value, where run() solves one LP above the gate: its own
+    optimum passes the certificate, and HiGHS is never called."""
+    with monkeypatch.context() as m:
+        verdicts = _verdicts(m)
+        m.setattr(_lp, "solve", lambda *args: pytest.fail("the structured LP was solved by HiGHS"))
+        m.setattr(_lp, "_solver", lambda: pytest.fail("a HiGHS instance was built"))
+        value = run()
+    assert len(verdicts) == 1 and verdicts[0][0] > _lp.SHARED_MAX_COLS
+    assert verdicts[0][1] == 0
+    return value
+
+
 def _line(points, seed):
     w = np.random.default_rng(seed).random(len(points))
     return make_distribution(points, w / w.sum())
@@ -458,8 +483,8 @@ def test_large_1d_costs_match_closed_form(monkeypatch, case):
         orders = (1, 2)
     for order in orders:
         exact = w1_exact if order == 1 else w2sq_exact
-        _assert_above_gate(monkeypatch, lambda: exact(a, b))
-        assert exact(a, b).cost == pytest.approx(w_1d_closed_form(a, b, order), rel=1e-12), order
+        plan = _certified(monkeypatch, lambda: exact(a, b))
+        assert plan.cost == pytest.approx(w_1d_closed_form(a, b, order), rel=1e-12), order
 
 
 def test_large_planar_w1_matches_assignment(monkeypatch):
@@ -467,10 +492,10 @@ def test_large_planar_w1_matches_assignment(monkeypatch):
     rng = np.random.default_rng(42)
     pa, pb = rng.normal(size=(96, 2)), rng.normal(size=(96, 2)) + 0.5
     a, b = (make_distribution(p, np.full(96, 1 / 96)) for p in (pa, pb))
-    _assert_above_gate(monkeypatch, lambda: w1_exact(a, b))
+    plan = _certified(monkeypatch, lambda: w1_exact(a, b))
     dist = np.sqrt(((a.points[:, None, :] - b.points[None, :, :]) ** 2).sum(axis=2))
     rows, cols = linear_sum_assignment(dist)
-    assert w1_exact(a, b).cost == pytest.approx(dist[rows, cols].sum() / 96, rel=1e-12)
+    assert plan.cost == pytest.approx(dist[rows, cols].sum() / 96, rel=1e-12)
 
 
 def test_large_oracle_matches_interpolation_distortion(monkeypatch):
@@ -503,33 +528,7 @@ def test_gate_sides_agree_on_a_large_lp(monkeypatch):
     assert args[0] @ fresh.x == pytest.approx(args[0] @ shared.x, rel=1e-13)
 
 
-# --- above the gate, 1-D: the north-west-corner start ----------------------
-
-
-class _StartLog(_highs._Highs):
-    """A solver holding dplab's options that logs each setBasis status and the
-    simplex iterations of each run; refuse spoils the basis first, so HiGHS
-    refuses it: "short" cuts one column status, "count" makes one row too
-    many basic."""
-
-    def __init__(self, log, refuse=None):
-        super().__init__()
-        assert self.passOptions(_lp._OPTIONS) == _highs.HighsStatus.kOk
-        self.log, self.refuse = log, refuse
-
-    def setBasis(self, basis):
-        if self.refuse == "short":
-            basis.col_status = basis.col_status[:-1]
-        elif self.refuse == "count":
-            basis.row_status = [_highs.HighsBasisStatus.kBasic] + basis.row_status[1:]
-        status = super().setBasis(basis)
-        self.log.append(("setBasis", status))
-        return status
-
-    def run(self):
-        status = super().run()
-        self.log.append(("run", self.getInfo().simplex_iteration_count))
-        return status
+# --- above the gate, 1-D: the north-west-corner staircase, certified --------
 
 
 def _sweep_law(alpha):
@@ -555,99 +554,6 @@ def _start_cases():
     }
 
 
-@pytest.mark.parametrize("case", sorted(_start_cases()))
-def test_large_1d_lp_starts_at_the_staircase(monkeypatch, case):
-    # the start is set, HiGHS takes it, and it is optimal as it stands
-    exact, a, b = _start_cases()[case]
-    _assert_above_gate(monkeypatch, lambda: exact(a, b))
-    log = []
-    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
-    plan = exact(a, b)
-    assert log == [("setBasis", _highs.HighsStatus.kOk), ("run", 0)]
-    assert plan.cost == pytest.approx(w_1d_closed_form(a, b, 1 if exact is w1_exact else 2),
-                                      rel=1e-12)
-
-
-def test_staircase_has_one_cell_per_step():
-    # every step advances one index, ties included: nr + nc - 1 distinct cells
-    # forming a monotone path from the first cell to the last
-    for a, b in ((np.full(4, 0.25), np.full(8, 0.125)), (np.array([0.5, 0.0, 0.5]),
-                                                         np.array([0.25, 0.25, 0.5])),
-                 (np.random.default_rng(9).random(7), np.random.default_rng(10).random(5))):
-        cells = _staircase(a, b)
-        rows, cols = np.divmod(cells, len(b))
-        assert len(cells) == len(a) + len(b) - 1
-        assert rows[0] == cols[0] == 0 and (rows[-1], cols[-1]) == (len(a) - 1, len(b) - 1)
-        assert np.array_equal(np.diff(rows) + np.diff(cols), np.ones(len(cells) - 1))
-    # on a tie the row advances first
-    rows, cols = np.divmod(_staircase(np.full(2, 0.5), np.full(2, 0.5)), 2)
-    assert rows.tolist() == [0, 1, 1] and cols.tolist() == [0, 0, 1]
-
-
-def test_no_start_off_the_1d_large_path(monkeypatch):
-    # a non-uniform 2-D LP above the gate, uniform 2-D laws of unequal size
-    # or beside a non-uniform one, and every LP at or below it set no basis;
-    # the gate is read at call time
-    log = []
-    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
-    monkeypatch.setattr(_lp, "_SHARED", _StartLog(log))
-    pa, pb = _planar(11, 96), _planar(12, 96)
-    _assert_above_gate(monkeypatch, lambda: w1_exact(pa, pb))
-    w1_exact(pa, pb)
-    rng = np.random.default_rng(46)
-    u96, u100 = _uniform(rng.normal(size=(96, 2))), _uniform(rng.normal(size=(100, 2)))
-    for a, b in ((u96, u100), (u96, pb), (pa, u96)):
-        for exact in (w1_exact, w2sq_exact):
-            _assert_above_gate(monkeypatch, lambda: exact(a, b))
-    assert log and not any(entry[0] == "setBasis" for entry in log)
-    for name, run in sorted(_lp_cases().items()):
-        try:
-            run()
-        except ValueError:
-            assert name == "oracle-infeasible"
-    a, b = _line(np.arange(64.0), 13), _line(np.arange(128.0), 14)  # 8,192 columns
-    for exact in (w1_exact, w2sq_exact):
-        exact(a, b)
-    a, b = _line(np.arange(96.0), 15), _line(np.arange(100.0), 16)
-    monkeypatch.setattr(_lp, "SHARED_MAX_COLS", 96 * 100)
-    w2sq_exact(a, b)
-    assert not any(entry[0] == "setBasis" for entry in log)
-
-
-def _staircase_lp(n, seed):
-    """A 1-D W2 LP above the gate with sorted supports, and its start."""
-    rng = np.random.default_rng(seed)
-    a, b = _line(rng.normal(size=n), seed), _line(rng.normal(size=n), seed + 1)
-    cost = (a.points - b.points.T) ** 2
-    start = _staircase(a.probs, b.probs), [2 * n - 1]
-    return a, b, cost.reshape(-1), marginals(n, n), np.concatenate([a.probs, b.probs]), start
-
-
-def test_start_on_a_non_monge_cost_is_only_a_hint(monkeypatch):
-    # -(x - y)^2 is optimal on the anti-monotone coupling, far from the
-    # staircase: HiGHS takes the start, pivots away from it and still ends
-    # certified (a failed certificate is status 4) at linprog's cost
-    log = []
-    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
-    _, _, cost, a_eq, b_eq, start = _staircase_lp(96, 17)
-    res = _lp.solve(-cost, a_eq, b_eq, start=start)
-    assert log[0] == ("setBasis", _highs.HighsStatus.kOk) and log[1][1] > 0
-    ref = _reference(-cost, a_eq, b_eq)
-    assert res.status == 0 and ref.status == 0
-    assert -cost @ res.x == pytest.approx(ref.fun, rel=1e-12)
-
-
-@pytest.mark.parametrize("refuse", ["short", "count"])
-def test_refused_start_solves_cold(monkeypatch, refuse):
-    # a basis HiGHS refuses leaves the fresh instance cold: x is linprog's
-    log = []
-    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log, refuse))
-    _, _, cost, a_eq, b_eq, start = _staircase_lp(96, 19)
-    res = _lp.solve(cost, a_eq, b_eq, start=start)
-    assert log[0] == ("setBasis", _highs.HighsStatus.kError) and log[1][1] > 0
-    assert res.status == 0 and res.x.tobytes() == _reference(cost, a_eq, b_eq).x.tobytes()
-
-
 def _quantile_coupling(a, b):
     """pi[i, j]: the overlap of row i's and column j's cumulative-mass intervals."""
     ca, cb = (np.concatenate([[0.0], np.cumsum(p)]) for p in (a, b))
@@ -655,15 +561,136 @@ def _quantile_coupling(a, b):
     return np.maximum(overlap, 0.0)
 
 
+@pytest.mark.parametrize("case", sorted(_start_cases()))
+def test_large_1d_lp_starts_at_the_staircase(monkeypatch, case):
+    # the staircase and its potentials pass the certificate as they stand:
+    # no HiGHS call, the closed-form cost and the quantile coupling
+    exact, a, b = _start_cases()[case]
+    plan = _certified(monkeypatch, lambda: exact(a, b))
+    assert plan.cost == pytest.approx(w_1d_closed_form(a, b, 1 if exact is w1_exact else 2),
+                                      rel=1e-12)
+    assert np.allclose(plan.pi, _quantile_coupling(a.probs, b.probs), rtol=0, atol=1e-12)
+
+
+def test_staircase_has_one_cell_per_step():
+    # on a generic (random) cost the staircase's potentials are tight on
+    # exactly nr + nc - 1 cells, a monotone path from the first cell to the
+    # last with one index advancing per step, ties included; x holds the
+    # marginals and sits on that path
+    rng = np.random.default_rng(9)
+    rand_a, rand_b = rng.random(7), rng.random(5)
+    for a, b in ((np.full(4, 0.25), np.full(8, 0.125)),
+                 (np.array([0.5, 0.0, 0.5]), np.array([0.25, 0.25, 0.5])),
+                 (rand_a / rand_a.sum(), rand_b / rand_b.sum())):
+        c = rng.random((len(a), len(b)))
+        x, y = _staircase(a, b, c)
+        pi, u, v = x.reshape(len(a), len(b)), y[:len(a)], y[len(a):]
+        if (a * 8).tolist() == np.round(a * 8).tolist():  # dyadic masses: no rounding
+            assert np.array_equal(pi.sum(axis=1), a) and np.array_equal(pi.sum(axis=0), b)
+        else:
+            assert np.abs(pi.sum(axis=1) - a).max() <= 4 * np.finfo(float).eps
+            assert np.abs(pi.sum(axis=0) - b).max() <= 4 * np.finfo(float).eps
+        tight = np.abs(c - u[:, None] - v[None, :]) <= 1e-15
+        rows, cols = np.nonzero(tight)  # row-major order is the path's order
+        assert len(rows) == len(a) + len(b) - 1
+        assert rows[0] == cols[0] == 0 and (rows[-1], cols[-1]) == (len(a) - 1, len(b) - 1)
+        assert np.array_equal(np.diff(rows) + np.diff(cols), np.ones(len(rows) - 1))
+        assert (pi[~tight] == 0).all() and (pi >= 0).all()
+    # on a tie the row advances first, through a cell of zero mass
+    c = rng.random((2, 2))
+    x, y = _staircase(np.full(2, 0.5), np.full(2, 0.5), c)
+    assert x.tolist() == [0.5, 0.0, 0.0, 0.5]
+    assert np.nonzero(np.abs(c - y[:2, None] - y[None, 2:]) <= 1e-15)[0].tolist() == [0, 1, 1]
+
+
+def test_no_start_off_the_1d_large_path(monkeypatch):
+    # a non-uniform 2-D LP above the gate, uniform 2-D laws of unequal size
+    # or beside a non-uniform one, and every LP at or below it build no
+    # structured optimum: each goes straight to _lp.solve. The gate is read
+    # at call time
+    for name in ("_staircase", "_assignment_tree"):
+        monkeypatch.setattr(transport, name, lambda *args: pytest.fail(f"{name} was called"))
+    pa, pb = _planar(11, 96), _planar(12, 96)
+    _assert_above_gate(monkeypatch, lambda: w1_exact(pa, pb))
+    rng = np.random.default_rng(46)
+    u96, u100 = _uniform(rng.normal(size=(96, 2))), _uniform(rng.normal(size=(100, 2)))
+    for a, b in ((u96, u100), (u96, pb), (pa, u96)):
+        for exact in (w1_exact, w2sq_exact):
+            _assert_above_gate(monkeypatch, lambda: exact(a, b))
+    for name, run in sorted(_lp_cases().items()):
+        try:
+            run()
+        except ValueError:
+            assert name == "oracle-infeasible"
+    a, b = _line(np.arange(64.0), 13), _line(np.arange(128.0), 14)  # 8,192 columns
+    for exact in (w1_exact, w2sq_exact):
+        assert len(_recorded_lps(monkeypatch, lambda: exact(a, b))) == 1
+    a, b = _line(np.arange(96.0), 15), _line(np.arange(100.0), 16)
+    monkeypatch.setattr(_lp, "SHARED_MAX_COLS", 96 * 100)
+    assert len(_recorded_lps(monkeypatch, lambda: w2sq_exact(a, b))) == 1
+
+
+def _staircase_lp(n, seed):
+    """Two n-point 1-D laws with sorted supports and their W2 cost matrix."""
+    rng = np.random.default_rng(seed)
+    a, b = _line(rng.normal(size=n), seed), _line(rng.normal(size=n), seed + 1)
+    return a, b, (a.points - b.points.T) ** 2
+
+
+def _cold(monkeypatch, run):
+    """run()'s value, where run() solves one transport LP above the gate whose
+    structured optimum fails the certificate: the verdicts are that failure
+    and the cold solve's pass, and the plan is linprog's x to the byte."""
+    out = []
+    with monkeypatch.context() as m:
+        verdicts = _verdicts(m)
+        lps = _recorded_lps(m, lambda: out.append(run()))
+    assert [status for _, status in verdicts] == [4, 0]
+    assert len(lps) == 1 and lps[0][0].size > _lp.SHARED_MAX_COLS
+    ref = _reference(*lps[0])
+    assert ref.status == 0
+    assert out[0].pi.tobytes() == np.maximum(ref.x, 0.0).reshape(out[0].pi.shape).tobytes()
+    return out[0]
+
+
+def test_start_on_a_non_monge_cost_is_only_a_hint(monkeypatch):
+    # -(x - y)^2 is optimal on the anti-monotone coupling, far from the
+    # staircase: sent as Monge, the staircase fails the certificate and the
+    # LP is solved cold
+    a, b, cost = _staircase_lp(96, 17)
+    plan = _cold(monkeypatch,
+                 lambda: transport.solve_transport_lp(-cost, a.probs, b.probs, _monge=True))
+    assert plan.cost < -w_1d_closed_form(a, b, 2)
+
+
+@pytest.mark.parametrize("route", ["staircase", "tree"])
+def test_refused_start_solves_cold(monkeypatch, route):
+    # one row potential raised by 1e-6 of the cost scale leaves reduced costs
+    # of -1e-6 times that scale in its row, 1000 times the certificate's bound
+    name, (exact, a, b) = {"staircase": ("_staircase", _start_cases()["w2-random"]),
+                           "tree": ("_assignment_tree", _assignment_cases()["w2-random"])}[route]
+    optimum = exact(a, b).cost
+    build, scale = getattr(transport, name), max(1.0, _cost(exact, a, b).max())
+
+    def corrupted(*args):
+        x, y = build(*args)
+        y[3] += 1e-6 * scale
+        return x, y
+
+    monkeypatch.setattr(transport, name, corrupted)
+    plan = _cold(monkeypatch, lambda: exact(a, b))
+    assert plan.cost == pytest.approx(optimum, rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [128, 144])
 def test_large_1d_plan_is_the_quantile_coupling(n):
-    a, b, *_ = _staircase_lp(n, n)
+    a, b, _ = _staircase_lp(n, n)
     plan = w2sq_exact(a, b)
     assert np.allclose(plan.pi, _quantile_coupling(a.probs, b.probs), rtol=0, atol=1e-12)
     assert plan.cost == pytest.approx(w_1d_closed_form(a, b, 2), rel=1e-12)
 
 
-# --- above the gate, uniform laws of equal size: the assignment-tree start --
+# --- above the gate, uniform laws of equal size: the assignment, certified --
 
 
 def _lattice_laws():
@@ -691,14 +718,10 @@ def _cost(exact, a, b):
 
 @pytest.mark.parametrize("case", sorted(_assignment_cases()))
 def test_large_assignment_lp_starts_at_its_tree(monkeypatch, case):
-    # the start is set, HiGHS takes it as optimal, and the plan is a
-    # permutation over n at linear_sum_assignment's cost
+    # the permutation and its shortest-path duals pass the certificate: no
+    # HiGHS call, linear_sum_assignment's cost, and a permutation plan over n
     exact, a, b = _assignment_cases()[case]
-    _assert_above_gate(monkeypatch, lambda: exact(a, b))
-    log = []
-    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
-    plan = exact(a, b)
-    assert log == [("setBasis", _highs.HighsStatus.kOk), ("run", 0)]
+    plan = _certified(monkeypatch, lambda: exact(a, b))
     cost, n = _cost(exact, a, b), len(a.probs)
     rows, cols = linear_sum_assignment(cost)
     assert plan.cost == pytest.approx(cost[rows, cols].sum() / n, rel=1e-12)
@@ -707,22 +730,11 @@ def test_large_assignment_lp_starts_at_its_tree(monkeypatch, case):
     assert np.allclose(plan.pi, np.eye(n)[perm] / n, rtol=0, atol=1e-12)
 
 
-def _tree_potentials(cells, c):
-    """Row and column potentials u, v with u[0] = 0 and u_i + v_j = c[i, j] on
-    the cells: a square system, singular unless the cells form a tree."""
-    n = len(c)
-    rows, cols = np.divmod(cells, n)
-    system = np.zeros((2 * n - 1, 2 * n))
-    system[np.arange(2 * n - 1), rows] = 1.0
-    system[np.arange(2 * n - 1), n + cols] = 1.0
-    uv = np.concatenate([[0.0], np.linalg.solve(system[:, 1:], c[rows, cols])])
-    return uv[:n], uv[n:]
-
-
 @pytest.mark.parametrize("case", ["random", "lattice-ties", "duplicated-points"])
-def test_assignment_tree_is_spanning(case):
-    # 2n - 1 distinct cells linking all n rows and n columns, every reduced
-    # cost at least minus the relaxation tolerance, every tree cell tight
+def test_assignment_tree_duals_are_feasible(case):
+    # x is a permutation at the given mass, every reduced cost is at least
+    # minus twice the relaxation tolerance, and the permutation's cells are
+    # tight
     rng = np.random.default_rng(45)
     if case == "random":
         c = sq_dists(rng.normal(size=(96, 2)), rng.normal(size=(96, 2)))
@@ -733,29 +745,30 @@ def test_assignment_tree_is_spanning(case):
         pa, pb = rng.normal(size=(48, 2)), rng.integers(0, 3, size=(48, 2)).astype(float)
         c = np.sqrt(sq_dists(np.repeat(pa, 2, axis=0), np.tile(pb, (2, 1))))
     n = len(c)
-    cells = _assignment_tree(c)
-    assert cells is not None and len(set(cells.tolist())) == len(cells) == 2 * n - 1
-    rows, cols = np.divmod(cells, n)
-    graph = sparse.coo_array((np.ones(len(cells)), (rows, n + cols)), shape=(2 * n, 2 * n))
-    assert connected_components(graph, directed=False)[0] == 1
-    u, v = _tree_potentials(cells, c)
+    x, y = _assignment_tree(c, 1 / n)
+    rows, cols = np.nonzero(x.reshape(n, n))
+    assert rows.tolist() == list(range(n)) and sorted(cols) == list(range(n))
+    assert (x[rows * n + cols] == 1 / n).all()
     tol = transport._TIE_RTOL * n * np.abs(c).max()
-    reduced = c - u[:, None] - v[None, :]
+    reduced = c - y[:n, None] - y[None, n:]
     assert reduced.min() >= -2 * tol
     assert np.abs(reduced[rows, cols]).max() <= tol
 
 
 def test_tie_guard_keeps_the_lattice_tree(monkeypatch):
     # without the relaxation tolerance, the lattice's few-ulp negative cycles
-    # keep distances falling until the pass limit: no tree, a cold start
+    # keep distances falling until the pass limit: no duals, a cold solve
+    # through _lp.solve at the same cost
     a, b = _lattice_laws()
     c = np.sqrt(sq_dists(a.points, b.points))
-    assert _assignment_tree(c) is not None
+    n = len(c)
+    assert _assignment_tree(c, 1 / n) is not None
+    certified = _certified(monkeypatch, lambda: w1_exact(a, b))
     monkeypatch.setattr(transport, "_TIE_RTOL", 0.0)
-    assert _assignment_tree(c) is None
-    log = []
-    monkeypatch.setattr(_lp, "_solver", lambda: _StartLog(log))
-    plan = w1_exact(a, b)
-    assert [entry[0] for entry in log] == ["run"] and log[0][1] > 0
+    assert _assignment_tree(c, 1 / n) is None
+    out = []
+    lps = _recorded_lps(monkeypatch, lambda: out.append(w1_exact(a, b)))
+    assert len(lps) == 1 and lps[0][0].size > _lp.SHARED_MAX_COLS
     rows, cols = linear_sum_assignment(c)
-    assert plan.cost == pytest.approx(c[rows, cols].sum() / len(c), rel=1e-12)
+    assert out[0].cost == pytest.approx(c[rows, cols].sum() / n, rel=1e-12)
+    assert out[0].cost == pytest.approx(certified.cost, rel=1e-12)
