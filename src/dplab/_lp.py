@@ -5,9 +5,9 @@ constrained D(P) oracle) is solved here by one direct call into scipy's HiGHS
 binding, with options built once, over nonnegative variables. In both, each
 variable sits in exactly two equality rows: a mass row with coefficient 1 and
 a marginal row below it with a weight (1, or minus a cell's mass). `incidence`
-builds the oracle's equality matrix in CSC form from those two row indices
-and the weight; `marginals`, the transport pair, writes the same arrays
-directly and is cached per shape for the shapes the shared solver runs.
+writes every equality matrix in CSC form from those row indices and weights,
+which may broadcast; `marginals`, the transport pair, is cached per shape for
+the shapes the shared solver runs.
 
 The model goes to HiGHS as the CSC arrays themselves. LPs of at most
 SHARED_MAX_COLS columns share one solver instance: passing a model clears the
@@ -57,13 +57,14 @@ CERT_TOL = 1e-9
 # LPs up to this many columns run on the shared solver with presolve; larger
 # ones get a fresh instance without it (_LARGE_OPTIONS). verify on gauss33 at
 # rate 2 solves LPs of up to 5,032 columns (median 20), where building an
-# instance is a visible share of each solve. Sharing it also for 128-256 point
-# transport LPs (16,384 columns and up) raised a process's peak RSS over a
-# 20-s run of them from 146 to 171 MB. Presolve off took 256x256 planar W1
-# LPs' run() from 0.35-0.72 s to 0.13-0.39 s and the peak RSS of a process
-# solving them from 138 to 112 MB (2-core x86-64, scipy 1.17.1); on small LPs
-# it would move pinned outputs' last digits. The same bound decides which
-# transport shapes `marginals` keeps cached.
+# instance is a visible share of each solve. Measured on 128-256 point
+# transport LPs before structured optima skipped HiGHS, so now true of cold
+# LPs above the gate only (non-uniform or unequal-size laws, large oracles):
+# sharing the instance raised a 20-s run's peak RSS from 146 to 171 MB, and
+# presolve off took 256x256 planar W1 LPs' run() from 0.35-0.72 s to
+# 0.13-0.39 s and peak RSS from 138 to 112 MB (2-core x86-64, scipy 1.17.1).
+# On small LPs presolve off would move pinned outputs' last digits. The same
+# bound decides which transport shapes `marginals` keeps cached.
 SHARED_MAX_COLS = 8192
 
 
@@ -111,20 +112,23 @@ class LPResult(NamedTuple):
 
 
 def incidence(first, second, weight, n_rows: int) -> sparse.csc_array:
-    """(n_rows, len(first)) matrix whose column j holds 1 at row first[j] and
-    weight[j] at row second[j] > first[j].
+    """(n_rows, N) matrix, one column per entry of the shape that first,
+    second and weight broadcast to, in C order: column j holds 1 at row
+    first[j] and weight[j] at row second[j] > first[j].
 
-    weight may be a scalar. A zero weight stores no entry, so every column
-    holds one or two entries, the 1 first; indices are int32.
+    So 1-D arguments (weight may be a scalar) give len(first) columns, and an
+    (r, 1) first against a (c,) second gives column i*c + j. A zero weight
+    (either sign) stores no entry, so every column holds one or two entries,
+    the 1 first; indices are int32.
     """
-    n = len(first)
-    indices = np.empty(2 * n, dtype=np.int32)
-    indices[0::2] = first
-    indices[1::2] = second
-    data = np.ones(2 * n)
-    data[1::2] = weight
-    a = sparse.csc_array((data, indices, np.arange(0, 2 * n + 1, 2, dtype=np.int32)),
-                         shape=(n_rows, n))
+    shape = np.broadcast_shapes(np.shape(first), np.shape(second), np.shape(weight)) + (2,)
+    indices = np.empty(shape, dtype=np.int32)
+    indices[..., 0], indices[..., 1] = first, second
+    data = np.ones(shape)
+    data[..., 1] = weight
+    a = sparse.csc_array((data.reshape(-1), indices.reshape(-1),
+                          np.arange(0, data.size + 1, 2, dtype=np.int32)),
+                         shape=(n_rows, data.size // 2))
     if (np.asarray(weight) == 0).any():
         a.eliminate_zeros()
     return a
@@ -134,23 +138,18 @@ def marginals(r: int, c: int) -> sparse.csc_array:
     """(r+c, r*c) row sums stacked over column sums, in CSC form.
 
     Column i*c + j holds two unit entries, at rows i and r + j; equals
-    kron(I_r, 1_c^T) stacked over kron(1_r^T, I_c). Its arrays are read-only.
-    Shapes the shared solver runs (r*c at most SHARED_MAX_COLS) are built once
-    and shared by every caller, the 64 most recently used kept; a larger shape
-    is built per call, in about 0.2 ms at 256x256 against its solve's tens of
+    kron(I_r, 1_c^T) stacked over kron(1_r^T, I_c): `incidence` of a column
+    of row indices against a row of them. Its arrays are read-only. Shapes the
+    shared solver runs (r*c at most SHARED_MAX_COLS) are built once and shared
+    by every caller, the 64 most recently used kept; a larger shape is built
+    per call, in 0.2-0.4 ms at 256x256 against its LP's tens of
     milliseconds, so it is freed with its LP.
     """
     return (_marginals_cached if r * c <= SHARED_MAX_COLS else _build_marginals)(r, c)
 
 
 def _build_marginals(r: int, c: int) -> sparse.csc_array:
-    # incidence(i, r + j, 1.0) for column i*c + j, without its interleaving
-    # copies: every pair starts as (i, i), then its second entry becomes r + j
-    n = r * c
-    indices = np.arange(r, dtype=np.int32).repeat(2 * c)
-    indices.reshape(r, c, 2)[:, :, 1] = np.arange(r, r + c, dtype=np.int32)
-    a = sparse.csc_array((np.ones(2 * n), indices, np.arange(0, 2 * n + 1, 2, dtype=np.int32)),
-                         shape=(r + c, n))
+    a = incidence(np.arange(r)[:, None], np.arange(r, r + c), 1.0, r + c)
     for part in (a.indices, a.indptr, a.data):
         part.flags.writeable = False
     return a

@@ -118,8 +118,6 @@ def make_distribution(points, probs) -> DiscreteDistribution:
     merged = np.zeros(uniq.shape[0], dtype=np.float64)
     np.add.at(merged, inverse[order], pr[order])
     keep = merged > 0.0
-    if not keep.any():
-        raise ValueError("empty support")
     return DiscreteDistribution(_readonly(uniq[keep]), _readonly(merged[keep]))
 
 

@@ -212,9 +212,8 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
     c = np.concatenate([cq.reshape(-1), np.zeros(n * m)])
     # q(z, j) sits in pmf row z and in output-law row k + n + j with weight
     # -p(z); pi(i, j) in p_X row k + i and in output-law row k + n + j
-    a_eq = _lp.incidence(np.repeat(np.arange(k + n), m),
-                         np.tile(np.arange(k + n, k + n + m), k + n),
-                         np.repeat(np.concatenate([-pz, np.ones(n)]), m), k + n + m)
+    a_eq = _lp.incidence(np.arange(k + n)[:, None], np.arange(k + n, k + n + m),
+                         np.concatenate([-pz, np.ones(n)])[:, None], k + n + m)
     b_eq = np.concatenate([np.ones(k), source.probs, np.zeros(m)])
     a_ub = sparse.csr_matrix(np.concatenate([np.zeros(nq), sqx.reshape(-1)])[None, :])
     res = _lp.solve(c, a_eq, b_eq, a_ub, [p_budget])

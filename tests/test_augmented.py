@@ -130,6 +130,8 @@ def test_solve_validation(u4_pair, monkeypatch):
         solve_augmented(U4, Encoder(np.zeros(4, dtype=int), 2), gd, 0.5)
     with pytest.raises(ValueError, match="out_support must contain"):
         solve_augmented(U4, enc, gd, 0.5, out_support=U4.points)
+    with pytest.raises(ValueError, match="decoder K does not match encoder K"):
+        solve_augmented(U4, enc, DeterministicDecoder(np.array([1.5])), 0.5)
     monkeypatch.setattr("dplab.augmented.LP_VARIABLE_CAP", 10)
     with pytest.raises(ValueError, match="size cap"):
         solve_augmented(U4, enc, gd, 0.5)

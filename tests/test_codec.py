@@ -45,6 +45,8 @@ def test_decoder_validation():
         StochasticDecoder(np.array([0.0, 1.0]), np.array([[1.5, -0.5]]))
     with pytest.raises(ValueError, match="align"):
         StochasticDecoder(np.array([0.0, 1.0]), np.array([[0.5, 0.25, 0.25]]))
+    with pytest.raises(ValueError, match="decoder entries must be finite"):
+        StochasticDecoder(np.array([0.0, 1.0]), np.array([[np.nan, 1.0]]))
 
 
 def test_mmse_decoder_examples():

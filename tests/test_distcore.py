@@ -51,6 +51,8 @@ def test_negative_prob_error():
 def test_length_mismatch_error():
     with pytest.raises(ValueError):
         make_distribution([0.0, 1.0, 2.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="empty support"):
+        make_distribution([], [])
 
 
 @pytest.mark.parametrize("points", [[[]], np.zeros((3, 0))], ids=["json", "array"])
@@ -65,6 +67,8 @@ def test_zero_coordinate_points_refused(points):
 def test_nonfinite_point_error():
     with pytest.raises(ValueError):
         make_distribution([0.0, np.inf], [0.5, 0.5])
+    with pytest.raises(ValueError, match="probs must be finite"):
+        make_distribution([0.0, 1.0], [0.5, np.nan])
 
 
 def test_small_drift_renormalized():
@@ -304,3 +308,5 @@ def test_conditional_zero_mass_cell_error():
     mass = joint_from_encoder(u4, Encoder(np.zeros(4, dtype=int), 2))
     with pytest.raises(ValueError, match="zero-mass cell"):
         conditional_x_given_z(u4, mass, 1)
+    with pytest.raises(ValueError, match=re.escape("code index 2 out of range [0, 2)")):
+        conditional_x_given_z(u4, mass, 2)

@@ -44,6 +44,23 @@ def test_incidence_matches_dense_definition(weight):
         assert getattr(built, name).dtype == np.int32, name
 
 
+@pytest.mark.parametrize("weight", [-0.5, np.array([[0.5], [-0.25], [1.0], [2.0]]),
+                                    np.array([[0.5], [0.0], [-0.0], [-1.5]])],
+                         ids=["scalar", "column", "zeros"])
+def test_incidence_broadcasts_like_flat_columns(weight):
+    # an (r, 1) row index against a (c,) one gives column i*c + j, exactly as
+    # the same call on the flattened broadcast arrays does
+    first, second = np.array([[0], [1], [2], [3]]), np.array([4, 6, 5])
+    built = incidence(first, second, weight, 7)
+    flat = [np.ravel(x) for x in np.broadcast_arrays(first, second, weight)]
+    ref = incidence(*flat, 7)
+    assert built.shape == ref.shape == (7, 12) and built.format == "csc"
+    for name in ("data", "indices", "indptr"):
+        part, ref_part = getattr(built, name), getattr(ref, name)
+        assert part.dtype == ref_part.dtype and part.tobytes() == ref_part.tobytes(), name
+    assert np.array_equal(built.toarray(), _dense_incidence(*flat, 7))
+
+
 @pytest.mark.parametrize("r, c", [(1, 1), (1, 5), (4, 1), (3, 4), (6, 6), (33, 20), (96, 90)])
 def test_marginals_match_stacked_blocks(r, c):
     cached = _lp._marginals_cached.cache_info().currsize

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import dplab.tradeoff
 from dplab.augmented import solve_augmented
 from dplab.codec import (
+    DeterministicDecoder,
     Encoder,
     decoder_output_dist,
     distortion,
@@ -69,6 +70,8 @@ def test_interpolate_validation(u4_pair):
     enc1 = Encoder(np.zeros(4, dtype=int), 1)
     with pytest.raises(ValueError, match="K mismatch"):
         interpolate(mmse_decoder_for(U4, enc1), gp, 0.5)
+    with pytest.raises(ValueError, match="dimension mismatch between decoder tables"):
+        interpolate(DeterministicDecoder(np.zeros((2, 2))), gp, 0.5)
 
 
 def test_alpha_for_perception():
@@ -78,6 +81,8 @@ def test_alpha_for_perception():
     assert alpha_for_perception(9.0, 0.25) == 1.0
     with pytest.raises(ValueError, match="perception must be ≥ 0"):
         alpha_for_perception(-0.1, 0.25)
+    with pytest.raises(ValueError, match="P_d must be ≥ 0"):
+        alpha_for_perception(0.1, -0.25)
     # a lossless codec already meets every budget
     assert alpha_for_perception(0.1, 0.0) == 1.0
 
