@@ -40,7 +40,7 @@ from .distcore import (
 )
 from .transport import SIZE_CAP, solve_transport_lp, w1_exact
 
-# Bounds the full LP's size nv*m*n + nv*m, now that of the (nv, m, n) cost array.
+# Bounds the nv*m*n entries of solve_augmented's (nv, m, n) cost array.
 LP_VARIABLE_CAP = 2_000_000
 INDETERMINATE_BAND = 1e-9
 
@@ -130,7 +130,7 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
     pv = np.zeros(nv)
     np.add.at(pv, val_of_z, pz)
 
-    if nv * m * n + nv * m > LP_VARIABLE_CAP:
+    if nv * m * n > LP_VARIABLE_CAP:
         raise ValueError("LP size cap exceeded")
 
     # Y atoms: (x_i, gd[z(x_i)]) with the source mass; Ŷ atoms: (out_m,

@@ -85,10 +85,10 @@ class _Ctx:
         self.seed = seed
         self.rel_tol = rel_tol
         self.enc, self.gd, self.d_d, self.gp = codec
-        # sweep() on _ALPHAS, its points measured by the trials of segment 0
+        # sweep() on _ALPHAS, its points measured by the first 101 trials
         d_d, self.p_d = measure(source, self.enc, self.gd)
         self.points101 = [TradeoffPoint.measured(a, d, p, d_d, self.p_d)
-                          for a, (d, p, _) in zip(_ALPHAS, trials.collect(0))]
+                          for a, (d, p, _) in zip(_ALPHAS, trials.collect(range(len(_ALPHAS))))]
         # i/100 and (i/5)/20 are the same double for i = 0, 5, ..., 100
         self.points21 = self.points101[::5]
         self.phase = phase_sweep(source, self.enc, self.gd, _PHASE_LAMBDAS)
@@ -96,7 +96,7 @@ class _Ctx:
     @functools.cached_property
     def transport(self) -> list:
         """Each seed-only transport trial's values, in draw order."""
-        return list(self._trials.collect(1))
+        return list(self._trials.collect(range(len(_ALPHAS), len(self._trials.trials))))
 
 
 def _check_canonical_support(ctx: _Ctx) -> CheckResult:
@@ -446,26 +446,23 @@ def _transport_trials(seed: int) -> list:
 
 
 class _SharedTrials:
-    """Trials run on two cores: a forked helper runs them from the front while
-    the caller works, and `collect` runs them from the back.
+    """Trials run on two cores: a forked helper runs every trial not yet done,
+    front to back, while the caller works, and `collect` takes its ranges
+    from the back.
 
-    The trials come in segments, which the helper runs one after another and
-    the caller collects one at a time. The two processes share one anonymous
-    mmap: three values per trial and a done flag per trial, which is the whole
-    protocol. Within a segment each side stops at the first trial it finds
-    done; a trial both start at the crossing is computed twice, to the same
-    bits. Without os.fork, when it fails, or while another Python thread is
-    alive (it could hold a lock, such as the shared solver's, across the
-    fork), there is no helper and `collect` runs every trial. The caller reads
-    each segment's values in draw order, so the split never changes a result.
+    The two processes share one anonymous mmap: three values per trial and a
+    done flag per trial, which is the whole protocol. The helper passes over
+    the trials the caller has finished; a trial both start at a crossing is
+    computed twice, to the same bits. Without os.fork, when it fails, or while
+    another Python thread is alive (it could hold a lock, such as the shared
+    solver's, across the fork), there is no helper and `collect` runs every
+    trial. The caller reads each range's values in draw order, so the split
+    never changes a result.
     """
 
-    def __init__(self, *segments: list):
-        self.trials, self.segments = [], []
-        for segment in segments:
-            self.segments.append(range(len(self.trials), len(self.trials) + len(segment)))
-            self.trials += segment
-        n = len(self.trials)
+    def __init__(self, trials: list):
+        self.trials = trials
+        n = len(trials)
         buf = mmap.mmap(-1, 25 * n)
         self.values = np.frombuffer(buf, np.float64, 3 * n).reshape(n, 3)
         self.done = np.frombuffer(buf, np.bool_, n, 24 * n)
@@ -478,8 +475,9 @@ class _SharedTrials:
             return
         if self.pid == 0:  # the helper: it never returns, prints or runs exit handlers
             try:
-                for segment in self.segments:
-                    self._run_until_done(segment)
+                for i in range(n):
+                    if not self.done[i]:
+                        self._run(i)
             finally:
                 os._exit(0)
 
@@ -488,24 +486,20 @@ class _SharedTrials:
         self.values[i] = fn(*args)
         self.done[i] = True
 
-    def _run_until_done(self, order) -> None:
-        for i in order:
-            if self.done[i]:
-                return
-            self._run(i)
-
-    def collect(self, s: int):
-        """Yield the values of segment s's trials in draw order. Runs the
-        segment from the back until it meets a trial done, then each trial
-        still undone just before its values are due, so the first error
-        raised, by a trial or by the caller between trials, is the one a
-        serial run would raise."""
-        segment = self.segments[s]
+    def collect(self, order: range):
+        """Yield the values of the trials in `order`, in draw order. Runs them
+        from the back until it meets a trial done, then each trial still
+        undone just before its values are due, so the first error raised, by
+        a trial or by the caller between trials, is the one a serial run
+        would raise."""
         try:
-            self._run_until_done(reversed(segment))
+            for i in reversed(order):
+                if self.done[i]:
+                    break
+                self._run(i)
         except Exception:
             pass  # this trial stays undone and raises again below, in draw order
-        for i in segment:
+        for i in order:
             if not self.done[i]:
                 self._run(i)
             yield self.values[i].tolist()
@@ -522,15 +516,15 @@ def run_checks(source: DiscreteDistribution, k: int, seed: int = 0,
                rel_tol: float = 1e-6) -> list:
     """Full invariant suite on one scenario; returns CheckResults in a fixed order.
 
-    Once the codec is built, the 101 sweep points and the seed-only transport
-    trials are shared with a forked helper process (see _SharedTrials), which
-    is reaped before this returns or raises.
+    Once the codec is built, one list of trials, the 101 sweep points and then
+    the 150 seed-only transport trials, is shared with a forked helper
+    process (see _SharedTrials), which is reaped before this returns or raises.
     """
     transport = _transport_trials(seed)
     enc, gd, d_d = exhaustive_optimal_encoder(source, k)
     gp = perceptual_decoder_for(source, enc)
-    trials = _SharedTrials([(_sweep_point, (source, enc, gd, gp, a)) for a in _ALPHAS],
-                           transport)
+    trials = _SharedTrials([(_sweep_point, (source, enc, gd, gp, a)) for a in _ALPHAS]
+                           + transport)
     try:
         ctx = _Ctx(source, k, seed, rel_tol, (enc, gd, d_d, gp), trials)
         return [fn(ctx) for fn in _CHECKS]

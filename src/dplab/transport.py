@@ -41,6 +41,11 @@ class TransportPlan:
     cost: float
 
 
+def _check_size(nr: int, nc: int) -> None:
+    if nr > SIZE_CAP or nc > SIZE_CAP:
+        raise ValueError(f"size cap exceeded: {nr}x{nc} > {SIZE_CAP}x{SIZE_CAP}")
+
+
 def solve_transport_lp(cost, row_probs, col_probs, *, _monge: bool = False) -> TransportPlan:
     """Exact transportation LP: min Σ pi*cost s.t. fixed marginals, pi >= 0.
 
@@ -64,8 +69,7 @@ def solve_transport_lp(cost, row_probs, col_probs, *, _monge: bool = False) -> T
         raise ValueError("cost matrix must be finite")
     if (a < 0).any() or (b < 0).any():
         raise ValueError("negative prob in marginals")
-    if nr > SIZE_CAP or nc > SIZE_CAP:
-        raise ValueError(f"size cap exceeded: {nr}x{nc} > {SIZE_CAP}x{SIZE_CAP}")
+    _check_size(nr, nc)
     sa, sb = float(a.sum()), float(b.sum())
     if abs(sa - sb) > 1e-9:
         raise ValueError(f"infeasible marginals: totals {sa!r} and {sb!r} differ by more than 1e-9")
@@ -170,6 +174,7 @@ def _assignment_tree(c: np.ndarray, mass: float):
 def _w_exact(a: DiscreteDistribution, b: DiscreteDistribution, order: int) -> TransportPlan:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_size(a.n, b.n)  # before the (n, m, d) work array of sq_dists
     cost = sq_dists(a.points, b.points)
     if order == 1:
         np.sqrt(cost, out=cost)  # in place: the array is this call's own

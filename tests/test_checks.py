@@ -7,6 +7,7 @@ process outlives `run_checks`.
 """
 import json
 import os
+import threading
 import time
 
 import numpy as np
@@ -20,8 +21,8 @@ from dplab.transport import TransportPlan
 from test_cli import VERIFY_U4_GOLDEN
 
 SEEDS = (0, 7, 2**64 - 1)
-N_SWEEP = 101  # segment 0: the sweep's points at α = 0, 0.01, ..., 1
-N_TRIALS = N_SWEEP + 150  # segment 1: 50 agreement pairs, then 100 axiom triples
+N_SWEEP = 101  # the sweep's points at α = 0, 0.01, ..., 1
+N_TRIALS = N_SWEEP + 150  # then 50 agreement pairs and 100 axiom triples
 
 
 def _planar6(tmp_path):
@@ -151,6 +152,24 @@ def test_dead_helper_trials_rerun(capsys, monkeypatch, parent_runs, helper_first
     monkeypatch.setattr(checks._SharedTrials, "_run", dying)
     assert _verify(capsys, ["--source", "builtin:u4", "--rate", "1"]) == (0, VERIFY_U4_GOLDEN, "")
     assert sorted(parent_runs) == list(range(k, N_TRIALS))
+    _no_children()
+
+
+def test_no_helper_while_thread_alive(capsys, monkeypatch):
+    # a live thread could hold a lock across the fork, so verify runs serially
+    def forbidden():
+        pytest.fail("forked while another thread was alive")
+
+    monkeypatch.setattr(checks.os, "fork", forbidden)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        result = _verify(capsys, ["--source", "builtin:u4", "--rate", "1"])
+    finally:
+        stop.set()
+        waiter.join()
+    assert result == (0, VERIFY_U4_GOLDEN, "")
     _no_children()
 
 

@@ -147,6 +147,21 @@ def test_size_cap_error():
         w1_exact(big, HALF_POINTS)
 
 
+def test_size_cap_refused_before_cost(monkeypatch):
+    # the refusal comes before the (n, m, d) distance array is built
+    def no_cost(a, b):
+        raise AssertionError("cost built for an oversized pair")
+
+    monkeypatch.setattr("dplab.transport.sq_dists", no_cost)
+    pts = np.random.default_rng(0).normal(size=(SIZE_CAP + 1, 2))
+    big = make_distribution(pts, np.full(SIZE_CAP + 1, 1.0 / (SIZE_CAP + 1)))
+    small = make_distribution([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    for w in (w1_exact, w2sq_exact):
+        for a, b in ((big, small), (small, big)):
+            with pytest.raises(ValueError, match="size cap exceeded"):
+                w(a, b)
+
+
 def test_lp_input_errors():
     c = np.zeros((2, 2))
     with pytest.raises(ValueError, match="infeasible marginals"):
