@@ -16,7 +16,9 @@ previous model, basis and solution, so no solve sees another's state
 A larger LP gets a fresh instance, dropped as soon as its solution is read:
 its work arrays do not stay resident, and x, y and the certificate's
 temporaries are never allocated beside them. Each solve is then checked by a
-primal/dual certificate instead of linprog's looser feasibility check.
+primal/dual certificate instead of linprog's looser feasibility check. With
+no optimum, the status is 2 if HiGHS proved the LP infeasible, else 4: no
+solver limit is set and every LP is bounded, so linprog's 1 and 3 never arise.
 
 The same size gate picks the options. The shared instance holds exactly the
 options `linprog(method="highs", options=HIGHS_OPTIONS)` would pass, and a
@@ -45,7 +47,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy import _core as _highs
-from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -104,7 +105,7 @@ _SHARED_LOCK = threading.Lock()
 
 
 class LPResult(NamedTuple):
-    """x is None unless status is 0; status follows linprog's codes."""
+    """x is None unless status is 0; 2 is proven infeasibility, 4 any other failure."""
 
     x: Optional[np.ndarray]
     status: int
@@ -168,9 +169,9 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     certified. Passing the model resets the solver, so no basis carries over
     between solves. Non-finite data, a constraint entry reaching HiGHS's
     large_matrix_value or a cost reaching its infinite_cost raise ValueError:
-    HiGHS would refuse the model or treat the cost as infinite. A solution
-    that fails `certify` comes back with its status 4.
-    Callers map a nonzero status to their own error.
+    HiGHS would refuse the model or treat the cost as infinite. Status 2 is
+    infeasibility HiGHS proved, 4 any other failure, `certify`'s included;
+    callers map a nonzero status to their own error.
     """
     c = np.asarray(c, dtype=np.float64)
     b_eq = np.asarray(b_eq, dtype=np.float64)
@@ -197,23 +198,19 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     row_lower = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
     row_upper = np.concatenate([b_ub, b_eq])
     with _SHARED_LOCK:  # the shared instance serves one solve at a time
-        # no optimum: linprog's status code and message
-        if highs.passModel(
-                n_col, n_row, a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
-                0.0, c, np.zeros(n_col), np.full(n_col, np.inf), row_lower, row_upper,
-                a.indptr, a.indices, a.data, np.zeros(n_col, dtype=np.int32),
-        ) == _highs.HighsStatus.kError:
-            model_status = _highs.HighsModelStatus.kModelError
-            return _failed(model_status, highs.modelStatusToString(model_status))
-        run_status = highs.run()
-        model_status = highs.getModelStatus()
-        if run_status == _highs.HighsStatus.kError:
-            return _failed(model_status, highs.modelStatusToString(model_status))
-        if model_status != _highs.HighsModelStatus.kOptimal:
-            primal_status = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
-            return _failed(model_status,
-                           f"model_status is {highs.modelStatusToString(model_status)}; "
-                           f"primal_status is {primal_status}")
+        rejected = highs.passModel(
+            n_col, n_row, a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
+            0.0, c, np.zeros(n_col), np.full(n_col, np.inf), row_lower, row_upper,
+            a.indptr, a.indices, a.data, np.zeros(n_col, dtype=np.int32),
+        ) == _highs.HighsStatus.kError
+        if (rejected or highs.run() == _highs.HighsStatus.kError
+                or highs.getModelStatus() != _highs.HighsModelStatus.kOptimal):
+            status = highs.getModelStatus()  # "Not Set" after a rejected model
+            primal = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
+            return LPResult(None, 2 if status == _highs.HighsModelStatus.kInfeasible else 4,
+                            f"HiGHS {'rejected the model' if rejected else 'found no optimum'}: "
+                            f"model_status is {highs.modelStatusToString(status)}; "
+                            f"primal_status is {primal}")
         solution = highs.getSolution()
     # A fresh instance's working set is freed here, before x, y and the
     # certificate are allocated beside it; _SHARED keeps the shared one.
@@ -269,7 +266,3 @@ def certificate(a, c, b_eq, b_ub, x, y) -> tuple:
     dual = max(-(c - aty).min(initial=0.0), y[:m_ub].max(initial=0.0))
     gap = abs(c @ x - rhs @ y)
     return float(primal), float(dual), float(gap)
-
-
-def _failed(model_status, text: str) -> LPResult:
-    return LPResult(None, *_highs_to_scipy_status_message(model_status, text))

@@ -33,7 +33,7 @@ from .codec import (
 from .distcore import (
     DiscreteDistribution,
     _unique_rows,
-    as_points,
+    as_support,
     joint_from_encoder,
     make_distribution,
     sq_dists,
@@ -66,8 +66,10 @@ def _pair_laws(source: DiscreteDistribution, enc: Encoder, tags: np.ndarray,
     """Laws of (X̂, T) and (X, T) as distributions on concatenated vectors.
 
     T = tags[Z]: the gd table gives the Xd pairs, a code-index column the Zd
-    pairs.
+    pairs. Both tags and the decoder must have one row per code.
     """
+    if len(tags) != enc.K or dec.K != enc.K:
+        raise ValueError("decoder K does not match encoder K")
     pz = joint_from_encoder(source, enc).sum(axis=1)
     # one atom per positive entry of a row whose cell carries mass, row-major
     z, m = np.nonzero((dec.table > 0) & (pz > 0)[:, None])
@@ -91,8 +93,6 @@ def augmented_objective(source: DiscreteDistribution, enc: Encoder, gd: Determin
     """W1 joint-law gap plus lambda times the exact mean deviation from Xd."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if dec.K != enc.K or gd.K != enc.K:
-        raise ValueError("decoder K does not match encoder K")
     out_joint, src_joint = _pair_laws(source, enc, gd.table, dec)
     return w1_exact(out_joint, src_joint).cost + lam * _mean_deviation(source, enc, gd, dec)
 
@@ -120,7 +120,7 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
     if out_support is None:
         sup = required
     else:
-        sup = _unique_rows(as_points(out_support))[0]
+        sup = as_support(out_support, source.dim)
         merged = _unique_rows(np.vstack([sup, required]))[0]
         if merged.shape[0] != sup.shape[0]:
             raise ValueError("out_support must contain supp(X) and the gd table")

@@ -164,6 +164,8 @@ def decoder_output_dist(
 ) -> DiscreteDistribution:
     """Exact output marginal p_{X̂} = Σ_z p(z) q(.|z)."""
     pz = joint_from_encoder(source, enc).sum(axis=1)
+    if dec.K != enc.K:
+        raise ValueError("decoder K does not match encoder K")
     if isinstance(dec, DeterministicDecoder):
         return make_distribution(dec.table, pz)
     return make_distribution(dec.out_support, pz @ dec.table)

@@ -33,6 +33,16 @@ def as_points(a) -> np.ndarray:
     return a.reshape(-1, 1) if a.ndim == 1 else a
 
 
+def as_support(out_support, dim: int) -> np.ndarray:
+    """The distinct rows of a non-empty output support of dimension dim."""
+    sup = as_points(out_support)
+    if sup.size == 0:
+        raise ValueError("out_support must be non-empty")
+    if sup.ndim != 2 or sup.shape[1] != dim:
+        raise ValueError("dimension mismatch between out_support and source")
+    return _unique_rows(sup)[0]
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Probability distribution on finitely many points in R^d.

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from . import _lp
 from ._format import csv_text
@@ -42,7 +41,7 @@ from .codec import (
 from .distcore import (
     DiscreteDistribution,
     _unique_rows,
-    as_points,
+    as_support,
     joint_from_encoder,
     sq_dists,
 )
@@ -195,12 +194,7 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
     P of the source law.
     """
     check_budget(p_budget)
-    sup = as_points(out_support)
-    if sup.size == 0:
-        raise ValueError("out_support must be non-empty")
-    if sup.shape[1] != source.dim:
-        raise ValueError("dimension mismatch between out_support and source")
-    sup = _unique_rows(sup)[0]
+    sup = as_support(out_support, source.dim)
 
     mass = joint_from_encoder(source, enc)
     pz = mass.sum(axis=1)
@@ -215,7 +209,7 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
     a_eq = _lp.incidence(np.arange(k + n)[:, None], np.arange(k + n, k + n + m),
                          np.concatenate([-pz, np.ones(n)])[:, None], k + n + m)
     b_eq = np.concatenate([np.ones(k), source.probs, np.zeros(m)])
-    a_ub = sparse.csr_matrix(np.concatenate([np.zeros(nq), sqx.reshape(-1)])[None, :])
+    a_ub = np.concatenate([np.zeros(nq), sqx.reshape(-1)])[None, :]
     res = _lp.solve(c, a_eq, b_eq, a_ub, [p_budget])
     if res.status != 0:
         raise ValueError(

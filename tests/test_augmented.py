@@ -132,6 +132,11 @@ def test_solve_validation(u4_pair, monkeypatch):
         solve_augmented(U4, enc, gd, 0.5, out_support=U4.points)
     with pytest.raises(ValueError, match="decoder K does not match encoder K"):
         solve_augmented(U4, enc, DeterministicDecoder(np.array([1.5])), 0.5)
+    # out_support is read as the constrained oracle reads it
+    with pytest.raises(ValueError, match="dimension mismatch between out_support and source"):
+        solve_augmented(U4, enc, gd, 0.5, out_support=np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="out_support must be non-empty"):
+        solve_augmented(U4, enc, gd, 0.5, out_support=[])
     monkeypatch.setattr("dplab.augmented.LP_VARIABLE_CAP", 10)
     with pytest.raises(ValueError, match="size cap"):
         solve_augmented(U4, enc, gd, 0.5)
@@ -184,6 +189,20 @@ def test_conditioning_requires_bijective_gd(u4_pair):
     enc, _, gp, _, _ = u4_pair
     with pytest.raises(ValueError, match="not bijective"):
         conditioning_equivalence(U4, enc, DeterministicDecoder(np.array([1.5, 1.5])), gp)
+
+
+def test_conditioning_decoder_k_mismatch(u4_pair):
+    enc, gd, _, _, _ = u4_pair
+    gp3 = StochasticDecoder(U4.points, np.full((3, 4), 0.25))
+    with pytest.raises(ValueError, match="decoder K does not match encoder K"):
+        conditioning_equivalence(U4, enc, gd, gp3)
+
+
+def test_objective_tags_k_mismatch(u4_pair):
+    # the pair laws index both the tags and the decoder rows by code
+    enc, _, gp, _, _ = u4_pair
+    with pytest.raises(ValueError, match="decoder K does not match encoder K"):
+        augmented_objective(U4, enc, DeterministicDecoder(np.array([0.0, 1.5, 3.0])), gp, 0.5)
 
 
 def test_phase_on_gaussian_grid():

@@ -94,6 +94,19 @@ def test_distortion_k_mismatch():
         distortion(U4, Encoder(np.zeros(4, dtype=int), 1), gd)
 
 
+def test_output_dist_k_mismatch():
+    # a table with a row per code of another encoder
+    gd3 = DeterministicDecoder(np.array([0.0, 1.5, 3.0]))
+    with pytest.raises(ValueError, match="decoder K does not match encoder K"):
+        decoder_output_dist(U4, ENC_HALVES, gd3)
+
+
+def test_output_dist_stochastic_k_mismatch():
+    gp3 = StochasticDecoder(U4.points, np.full((3, 4), 0.25))
+    with pytest.raises(ValueError, match="decoder K does not match encoder K"):
+        decoder_output_dist(U4, ENC_HALVES, gp3)
+
+
 def test_output_dist_examples():
     gd = mmse_decoder_for(U4, ENC_HALVES)
     gp = perceptual_decoder_for(U4, ENC_HALVES)

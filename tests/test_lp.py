@@ -301,6 +301,57 @@ def test_failed_certificate_is_status_4(monkeypatch):
         w2sq_exact(U4, U4)
 
 
+class _FailingHighs(_highs._Highs):
+    """A solver holding dplab's options whose passModel or run, as `fail`
+    names, reports kError: passModel hands HiGHS a row index past the last
+    row, which HiGHS itself rejects; run does not start. fail=None solves."""
+
+    def __init__(self, fail):
+        super().__init__()
+        assert self.passOptions(_lp._OPTIONS) == _highs.HighsStatus.kOk
+        self.fail = fail
+
+    def passModel(self, *args):
+        if self.fail == "passModel":
+            # args[1] is the row count, args[12] the CSC row indices
+            args = args[:12] + (np.full_like(args[12], args[1]),) + args[13:]
+        return super().passModel(*args)
+
+    def run(self):
+        return _highs.HighsStatus.kError if self.fail == "run" else super().run()
+
+
+@pytest.mark.parametrize("gate", ["shared", "fresh"])
+@pytest.mark.parametrize("fail", ["passModel", "run"])
+def test_failed_highs_call_is_status_4(monkeypatch, fail, gate):
+    # a rejected model and a failed run give status 4, not the infeasibility
+    # status 2, and the same instance then solves an LP as linprog does
+    args = _small_transport()[:3] if gate == "shared" else _wide_transport()
+    assert (args[0].size <= _lp.SHARED_MAX_COLS) == (gate == "shared")
+    highs = _FailingHighs(fail)
+    if gate == "shared":
+        monkeypatch.setattr(_lp, "_SHARED", highs)
+    else:
+        monkeypatch.setattr(_lp, "_solver", lambda: highs)
+    res = _lp.solve(*args)
+    assert res.status == 4 and res.x is None
+    assert res.message == ("HiGHS rejected the model" if fail == "passModel"
+                           else "HiGHS found no optimum") + (
+        ": model_status is Not Set; primal_status is None")
+    highs.fail = None
+    res = _lp.solve(*args)
+    assert res.status == 0 and res.x.tobytes() == _reference(*args).x.tobytes()
+
+
+def test_oracle_reports_a_rejected_model_as_an_lp_failure(monkeypatch):
+    # HiGHS proved nothing about the support, so the oracle must not call the
+    # perception constraint infeasible
+    enc = exhaustive_optimal_encoder(U4, 2)[0]
+    monkeypatch.setattr(_lp, "_SHARED", _FailingHighs("passModel"))
+    with pytest.raises(ValueError, match="oracle LP failed: HiGHS rejected the model"):
+        constrained_oracle(U4, enc, 0.05, U4.points)
+
+
 @pytest.mark.parametrize("bad", ["c", "b_eq", "b_ub", "matrix"])
 def test_solve_refuses_non_finite_data(bad):
     c, a_eq, b_eq, _, _ = _small_transport()

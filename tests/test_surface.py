@@ -1,12 +1,14 @@
 """The package surface carries no dead weight.
 
-Three static checks on the source tree, with the standard library's ast only:
+Four static checks on the source tree, with the standard library's ast only:
 no module imports a name it never uses; every name the package exports is
 used somewhere other than its own definition: in the package, a demo or the
-README (an export only tests call is surface nobody else needs); and distinct
+README (an export only tests call is surface nobody else needs); distinct
 points have one rule, `distcore._unique_rows`, so no module but checks.py,
 whose canonical_support check is an independent witness, calls np.unique
-over rows.
+over rows; and only the LP layer, `_lp.py`, and `transport.py`, for its lazy
+`linear_sum_assignment`, import scipy, and none imports scipy's private
+linprog module.
 """
 import ast
 import re
@@ -93,3 +95,25 @@ def _unique_over_rows(tree):
 def test_distinct_rows_have_one_rule(path):
     lines = _unique_over_rows(_tree(path))
     assert not lines, f"{path.name} calls np.unique over rows (lines {lines}); use _unique_rows"
+
+
+def _scipy_imports(tree):
+    """Every scipy module or name an import statement anywhere in the tree
+    binds, as a dotted path."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "scipy"):
+            names += [f"{node.module}.{a.name}" for a in node.names]
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_lp_layer_imports_scipy(path):
+    names = _scipy_imports(_tree(path))
+    private = [n for n in names if n.startswith("scipy.optimize._linprog_highs")]
+    assert not private, f"{path.name} imports scipy's private linprog module: {private}"
+    if path.name not in ("_lp.py", "transport.py"):
+        assert not names, f"{path.name} imports scipy ({names}); only _lp.py and transport.py may"

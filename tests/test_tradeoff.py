@@ -267,6 +267,10 @@ def test_oracle_validation(u4_pair):
         constrained_oracle(U4, enc, 0.0, np.zeros((0, 1)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         constrained_oracle(U4, enc, 0.0, np.zeros((3, 2)))
+    # a scalar and a 3-D array are no list of points either
+    for bad in (1.5, np.zeros((3, 1, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            constrained_oracle(U4, enc, 0.0, bad)
     with pytest.raises(ValueError, match="infeasible"):
         constrained_oracle(U4, enc, 0.0, np.array([0.5, 2.5]))
 
