@@ -26,6 +26,7 @@ from .codec import (
     DeterministicDecoder,
     Encoder,
     StochasticDecoder,
+    _code_law,
     _filled_cells,
     check_zd_xd_bijective,
     distortion,
@@ -34,7 +35,6 @@ from .distcore import (
     DiscreteDistribution,
     _unique_rows,
     as_support,
-    joint_from_encoder,
     make_distribution,
     sq_dists,
 )
@@ -68,9 +68,7 @@ def _pair_laws(source: DiscreteDistribution, enc: Encoder, tags: np.ndarray,
     T = tags[Z]: the gd table gives the Xd pairs, a code-index column the Zd
     pairs. Both tags and the decoder must have one row per code.
     """
-    if len(tags) != enc.K or dec.K != enc.K:
-        raise ValueError("decoder K does not match encoder K")
-    pz = joint_from_encoder(source, enc).sum(axis=1)
+    _, pz = _code_law(source, enc, tags, dec.table)
     # one atom per positive entry of a row whose cell carries mass, row-major
     z, m = np.nonzero((dec.table > 0) & (pz > 0)[:, None])
     out_joint = make_distribution(np.hstack([dec.out_support[m], tags[z]]),
@@ -83,7 +81,7 @@ def _pair_laws(source: DiscreteDistribution, enc: Encoder, tags: np.ndarray,
 
 def _mean_deviation(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
                     dec: StochasticDecoder) -> float:
-    pz = joint_from_encoder(source, enc).sum(axis=1)
+    _, pz = _code_law(source, enc)
     norms = np.sqrt(sq_dists(gd.table, dec.out_support))
     return float(np.einsum("z,zm,zm->", pz, dec.table, norms))
 
@@ -109,12 +107,10 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if gd.K != enc.K:
-        raise ValueError("decoder K does not match encoder K")
     # the W1 gap of the solution couples n source atoms, so refuse before the LP
     if source.n > SIZE_CAP:
         raise ValueError(f"size cap exceeded: {source.n} support points > {SIZE_CAP}")
-    _, pz = _filled_cells(source, enc)
+    _, pz = _filled_cells(source, enc, gd.table)
 
     required = _unique_rows(np.vstack([source.points, gd.table]))[0]
     if out_support is None:

@@ -27,6 +27,7 @@ from .augmented import (
 )
 from .codec import (
     StochasticDecoder,
+    _code_law,
     check_zd_xd_bijective,
     decoder_output_dist,
     exhaustive_optimal_encoder,
@@ -36,7 +37,6 @@ from .codec import (
 from .distcore import (
     DiscreteDistribution,
     conditional_x_given_z,
-    joint_from_encoder,
     make_distribution,
     sq_dists,
 )
@@ -122,8 +122,7 @@ def _check_canonical_support(ctx: _Ctx) -> CheckResult:
 
 
 def _check_conditional_reassembly(ctx: _Ctx) -> CheckResult:
-    mass = joint_from_encoder(ctx.source, ctx.enc)
-    pz = mass.sum(axis=1)
+    mass, pz = _code_law(ctx.source, ctx.enc)
     mix = np.zeros(ctx.source.n)
     for z in range(ctx.enc.K):
         cond = conditional_x_given_z(ctx.source, mass, z)
@@ -165,7 +164,7 @@ def _check_orthogonality(ctx: _Ctx) -> CheckResult:
 
 def _check_cross_term(ctx: _Ctx) -> CheckResult:
     # E‖Xd−Xp‖² with Xd, Xp conditionally independent given Z
-    pz = joint_from_encoder(ctx.source, ctx.enc).sum(axis=1)
+    _, pz = _code_law(ctx.source, ctx.enc, ctx.gd.table, ctx.gp.table)
     sq = sq_dists(ctx.gd.table, ctx.gp.out_support)
     lhs = float(np.einsum("z,zm,zm->", pz, ctx.gp.table, sq))
     gap = abs(lhs - ctx.d_d)

@@ -285,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("oracle", parents=[common],
-                       help="exact minimum distortion at a perception budget")
+                       help="minimum distortion at a perception budget, over a support holding"
+                            " the images at alpha = 0, .25, .5, .75, 1: between them it can"
+                            " lie above the curve")
     p.add_argument("--perception", type=float, required=True, help="perception budget P")
     p.add_argument("--dump-plan", action="store_true",
                    help="include the optimal transport plan certifying P")

@@ -29,6 +29,8 @@ from .distcore import (
 )
 
 ENUMERATION_CAP = 10**7
+# the 1-D interval DP takes about 2·(K−2)·(n−K+1)² element steps; 2^30 is ~40 s
+DP_CAP = 1 << 30
 # entries per block of the exact searches' array work: score rows are grouped
 # so that no block temporary exceeds this many elements
 BLOCK_ELEMENTS = 1 << 18
@@ -120,10 +122,17 @@ def _require_finite_mse(source: DiscreteDistribution) -> None:
         raise ValueError("no encoder has a finite MSE: E‖X‖² overflows float64")
 
 
-def _filled_cells(source: DiscreteDistribution, enc: Encoder) -> Tuple[np.ndarray, np.ndarray]:
-    """(joint mass, p(z)) of a code; a cell with no mass is an error."""
+def _code_law(source: DiscreteDistribution, enc: Encoder, *tables) -> Tuple[np.ndarray, np.ndarray]:
+    """(joint mass, p(z)) of a code; each table given must have one row per code."""
     mass = joint_from_encoder(source, enc)
-    pz = mass.sum(axis=1)
+    if any(len(t) != enc.K for t in tables):
+        raise ValueError("decoder K does not match encoder K")
+    return mass, mass.sum(axis=1)
+
+
+def _filled_cells(source: DiscreteDistribution, enc: Encoder, *tables) -> Tuple[np.ndarray, np.ndarray]:
+    """(joint mass, p(z)) of a code; a cell with no mass is an error."""
+    mass, pz = _code_law(source, enc, *tables)
     if np.any(pz <= 0):
         raise ValueError(f"empty cell {int(np.argmin(pz))}")
     return mass, pz
@@ -148,9 +157,7 @@ def perceptual_decoder_for(source: DiscreteDistribution, enc: Encoder) -> Stocha
 
 def distortion(source: DiscreteDistribution, enc: Encoder, dec: Decoder) -> float:
     """Exact E‖X − X̂‖² under the joint law p(x, z) and the decoder rows."""
-    joint_from_encoder(source, enc)  # validates the assignment
-    if dec.K != enc.K:
-        raise ValueError("decoder K does not match encoder K")
+    _code_law(source, enc, dec.table)
     if isinstance(dec, DeterministicDecoder):
         diff = source.points - dec.table[enc.assignment]
         return float(np.einsum("i,id,id->", source.probs, diff, diff))
@@ -163,9 +170,7 @@ def decoder_output_dist(
     source: DiscreteDistribution, enc: Encoder, dec: Decoder
 ) -> DiscreteDistribution:
     """Exact output marginal p_{X̂} = Σ_z p(z) q(.|z)."""
-    pz = joint_from_encoder(source, enc).sum(axis=1)
-    if dec.K != enc.K:
-        raise ValueError("decoder K does not match encoder K")
+    _, pz = _code_law(source, enc, dec.table)
     if isinstance(dec, DeterministicDecoder):
         return make_distribution(dec.table, pz)
     return make_distribution(dec.out_support, pz @ dec.table)
@@ -401,6 +406,8 @@ def exhaustive_optimal_encoder(
     _check_code_count(K, source.n)
     _require_finite_mse(source)
     if source.dim == 1:
+        if (steps := (K - 2) * (source.n - K + 1) ** 2) > DP_CAP:
+            raise ValueError(f"interval DP cap exceeded: (K-2)(n-K+1)^2 = {steps} > {DP_CAP}")
         assign = _interval_dp(source, K)
     else:
         _check_enumeration(K, source.n)

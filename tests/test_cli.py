@@ -333,6 +333,21 @@ def test_oracle_payload(capsys):
     assert "plan" not in payload
 
 
+@pytest.mark.parametrize("budget, d_star", [
+    ("0", 5e-11), ("6.25e-12", 3.125e-11), ("2.5e-11", 2.5e-11), ("1e300", 2.5e-11),
+], ids=["P0", "Pd-quarter", "Pd", "P1e300"])
+def test_oracle_sees_a_perception_row_below_highs_resolution(capsys, tmp_path, budget, d_star):
+    # u4 scaled by 1e-5: every entry of the perception row is at most 9e-10,
+    # where HiGHS drops matrix entries (small_matrix_value 1e-9); exact values
+    # are (1 + (1 - alpha)^2)·D_d with D_d = P_d = 2.5e-11, and a budget far
+    # past P_d still scales to a finite one
+    src = _json_source(tmp_path / "u4_tiny.json", [[0], [1e-5], [2e-5], [3e-5]])
+    assert main(["oracle", "--source", src, "--rate", "1", "--perception", budget]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert abs(payload["D_star"] - d_star) <= 1e-12 * d_star
+    assert abs(payload["D_d"] - 2.5e-11) <= 1e-12 * 2.5e-11
+
+
 def test_oracle_dump_plan(capsys):
     assert main(["oracle", "--perception", "0.0625", "--dump-plan"]) == 0
     payload = json.loads(capsys.readouterr().out)

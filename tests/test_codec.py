@@ -564,3 +564,18 @@ def test_interval_dp_block_bound_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, peak
+
+
+def test_interval_dp_cap():
+    # about 2·(K−2)·(n−K+1)² element steps: K = 4 on 50,000 points would take
+    # minutes, so it is refused before the DP builds any stage
+    grid = gaussian_grid(0, 1, 50_000, 4)
+    with pytest.raises(ValueError, match=r"interval DP cap exceeded: \(K-2\)\(n-K\+1\)\^2 = "
+                                         r"4999400018 > 1073741824"):
+        exhaustive_optimal_encoder(grid, 4)
+    # K = 2 is one linear stage, and K = n leaves one break per point
+    enc, _, d_d = exhaustive_optimal_encoder(grid, 2)
+    assert enc.K == 2 and d_d > 0
+    small = gaussian_grid(0, 1, 3000, 4)
+    enc, _, d_d = exhaustive_optimal_encoder(small, 3000)
+    assert np.array_equal(enc.assignment, np.arange(3000)) and d_d < 1e-12

@@ -1,6 +1,6 @@
 """The package surface carries no dead weight.
 
-Four static checks on the source tree, with the standard library's ast only:
+Five static checks on the source tree, with the standard library's ast only:
 no module imports a name it never uses; every name the package exports is
 used somewhere other than its own definition: in the package, a demo or the
 README (an export only tests call is surface nobody else needs); distinct
@@ -8,7 +8,9 @@ points have one rule, `distcore._unique_rows`, so no module but checks.py,
 whose canonical_support check is an independent witness, calls np.unique
 over rows; and only the LP layer, `_lp.py`, and `transport.py`, for its lazy
 `linear_sum_assignment`, import scipy, and none imports scipy's private
-linprog module.
+linprog module; a code's joint law has one reader, `codec._code_law`, so no
+other module calls `joint_from_encoder` and the decoder-K message is raised
+from one line.
 """
 import ast
 import re
@@ -117,3 +119,19 @@ def test_only_the_lp_layer_imports_scipy(path):
     assert not private, f"{path.name} imports scipy's private linprog module: {private}"
     if path.name not in ("_lp.py", "transport.py"):
         assert not names, f"{path.name} imports scipy ({names}); only _lp.py and transport.py may"
+
+
+def _calls(tree, name):
+    """Lines of calls to name, as a bare name or an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_a_codes_law_has_one_reader():
+    callers = {p.name: _calls(_tree(p), "joint_from_encoder") for p in MODULES}
+    assert {name: len(lines) for name, lines in callers.items() if lines} == {"codec.py": 1}
+    importers = [p.name for p in MODULES if "joint_from_encoder" in _imported(_tree(p))]
+    assert importers == ["__init__.py", "codec.py"]
+    message = "decoder K does not match encoder K"
+    uses = {p.name: p.read_text(encoding="utf-8").count(message) for p in MODULES}
+    assert {name: n for name, n in uses.items() if n} == {"codec.py": 1}
