@@ -19,6 +19,9 @@ temporaries are never allocated beside them. Each solve is then checked by a
 primal/dual certificate instead of linprog's looser feasibility check. With
 no optimum, the status is 2 if HiGHS proved the LP infeasible, else 4: no
 solver limit is set and every LP is bounded, so linprog's 1 and 3 never arise.
+HiGHS's tolerances are absolute and the certificate's scales floor at 1, so a
+cost vector, or a `<=` row with its bound, whose largest magnitude is below 1
+is first lifted by the exact power of two that brings it into [1, 2).
 
 The same size gate picks the options. The shared instance holds exactly the
 options `linprog(method="highs", options=HIGHS_OPTIONS)` would pass, and a
@@ -169,7 +172,9 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
     certified. Passing the model resets the solver, so no basis carries over
     between solves. Non-finite data, a constraint entry reaching HiGHS's
     large_matrix_value or a cost reaching its infinite_cost raise ValueError:
-    HiGHS would refuse the model or treat the cost as infinite. Status 2 is
+    HiGHS would refuse the model or treat the cost as infinite. Then c and
+    each <= row below 1 are lifted (module docstring), a lifted bound capped
+    at HiGHS's infinite_bound; only x moves, for callers to price. Status 2 is
     infeasibility HiGHS proved, 4 any other failure, `certify`'s included;
     callers map a nonzero status to their own error.
     """
@@ -189,6 +194,15 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
             ("cost", top_c, "infinite_cost", _INFINITE_COST)):
         if top >= bound:
             raise ValueError(f"LP {name} {top:.3g} reaches HiGHS {limit} {bound:.3g}")
+    if 0.0 < top_c < 1.0:  # the lift below 1 (module docstring)
+        c = np.ldexp(c, 1 - math.frexp(top_c)[1])
+    if len(b_ub):  # a holds vstack's own arrays, never marginals' read-only ones
+        ub, top_ub = a.indices < len(b_ub), np.zeros(len(b_ub))
+        np.maximum.at(top_ub, a.indices[ub], np.abs(a.data[ub]))
+        k = np.where((top_ub > 0) & (top_ub < 1), 1 - np.frexp(top_ub)[1], 0)
+        a.data[ub] = np.ldexp(a.data[ub], k[a.indices[ub]])
+        cap = np.ldexp(_OPTIONS.infinite_bound, -k)  # HiGHS reads a bound there as none
+        b_ub = np.ldexp(np.clip(b_ub, -cap, cap), k)
     n_row, n_col = a.shape
     if n_col <= SHARED_MAX_COLS:
         highs = _SHARED
@@ -243,12 +257,10 @@ def certificate(a, c, b_eq, b_ub, x, y) -> tuple:
     a is CSC and stacks the b_ub rows over the b_eq rows. The primal residual
     is the worst equality residual, <= row violation or negative x; each row's
     residual is taken relative to max(1, Σ_j |a_ij x_j|), so rows of
-    probabilities are held to an absolute bound and the oracle's perception
-    row, a sum of squared distances, to its own rounding scale. The dual
-    infeasibility is the worst negative reduced cost c - Aᵀy or positive
-    multiplier on a <= row (with both, b·y bounds c·x from below); the gap is
-    |c·x - b·y|. Any non-finite entry makes all three NaN, which fails every
-    comparison.
+    probabilities are held to an absolute bound. The dual infeasibility is the
+    worst negative reduced cost c - Aᵀy or positive multiplier on a <= row
+    (with both, b·y bounds c·x from below); the gap is |c·x - b·y|. Any
+    non-finite entry makes all three NaN, which fails every comparison.
     """
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         return (np.nan,) * 3

@@ -212,14 +212,6 @@ def constrained_oracle(source: DiscreteDistribution, enc: Encoder, p_budget: flo
                          np.concatenate([-pz, np.ones(n)])[:, None], k + n + m)
     b_eq = np.concatenate([np.ones(k), source.probs, np.zeros(m)])
     a_ub = np.concatenate([np.zeros(nq), sqx.reshape(-1)])[None, :]
-    # HiGHS drops entries at or below its small_matrix_value: such a row and its
-    # budget are scaled exactly, by a power of two, to a largest entry in [1, 2).
-    # The coupling has mass 1, so the budget is first capped at twice that entry,
-    # where it cannot bind, and the scaled budget stays finite.
-    top = float(sqx.max())
-    if 0.0 < top <= _lp._OPTIONS.small_matrix_value:
-        shift = 1 - math.frexp(top)[1]
-        a_ub, p_budget = np.ldexp(a_ub, shift), np.ldexp(min(p_budget, 2.0 * top), shift)
     res = _lp.solve(c, a_eq, b_eq, a_ub, [p_budget])
     if res.status != 0:
         raise ValueError(

@@ -148,6 +148,9 @@ VERIFY_U4_GOLDEN = (
 )
 
 
+U4_TINY = [[0], [1e-5], [2e-5], [3e-5]]
+
+
 def _json_source(path, points):
     path.write_text(json.dumps({"points": points, "probs": [1.0 / len(points)] * len(points)}))
     return str(path)
@@ -346,6 +349,45 @@ def test_oracle_sees_a_perception_row_below_highs_resolution(capsys, tmp_path, b
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["D_star"] - d_star) <= 1e-12 * d_star
     assert abs(payload["D_d"] - 2.5e-11) <= 1e-12 * 2.5e-11
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid, rate, summary", [
+    (None, 1, "18/18 checks passed"),
+    ({"std": 2.0 ** -17, "n": 33}, 2, "17/17 checks passed, 1 skipped"),
+], ids=["u4-1e-5", "gauss33-2^-17"])
+def test_verify_passes_on_small_scale_sources(capsys, tmp_path, grid, rate, summary):
+    # u4 × 1e-5 and gauss33 × 2^-17 (a grid std of 2^-17 scales every point
+    # exactly): each cost and perception row lies below 1, where HiGHS's
+    # absolute tolerances alone would not resolve the LPs; gauss33 at rate 2
+    # skips encoder_universality at every scale
+    src = (_grid_source(tmp_path / "tiny.json", **grid) if grid
+           else _json_source(tmp_path / "tiny.json", U4_TINY))
+    assert main(["verify", "--source", src, "--rate", str(rate)]) == 0
+    assert capsys.readouterr().out.strip().split("\n")[-1] == summary
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_on_small_scale_source_matches_predictions(capsys, tmp_path):
+    src = _json_source(tmp_path / "u4_tiny.json", U4_TINY)
+    assert main(["sweep", "--source", src, "--rate", "1"]) == 0
+    rows = np.loadtxt(capsys.readouterr().out.splitlines()[1:], delimiter=",", ndmin=2)
+    assert len(rows) == 21
+    for measured, predicted in ((rows[:, 1], rows[:, 3]), (rows[:, 2], rows[:, 4])):
+        assert (np.abs(measured - predicted) <= 1e-12 * predicted).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_budget_past_bound_cap_warns_nothing(capsys, tmp_path):
+    # the budget's lift is capped where HiGHS reads no bound, so a budget of
+    # 1e300 on a row below 1 neither overflows nor binds
+    src = _json_source(tmp_path / "u4_tiny.json", U4_TINY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle", "--source", src, "--rate", "1", "--perception", "1e300"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for value in (payload["D_star"], payload["D_d"]):
+        assert abs(value - 2.5e-11) <= 1e-12 * 2.5e-11
 
 
 def test_oracle_dump_plan(capsys):

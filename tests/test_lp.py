@@ -499,6 +499,27 @@ def test_solve_refuses_values_at_highs_limits(bad):
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lift_below_one_is_exact(monkeypatch):
+    # the u4 oracle LP with its cost, and its perception row with the budget,
+    # normalized to a largest magnitude in [1, 2): scaled down by 2^-k, each
+    # reaches HiGHS lifted back to the same bits, so x is bit-identical
+    enc, gd, _ = exhaustive_optimal_encoder(U4, 2)
+    sup = default_oracle_support(U4, gd, perceptual_decoder_for(U4, enc))
+    c, a_eq, b_eq, a_ub, b_ub = _recorded_lps(
+        monkeypatch, lambda: constrained_oracle(U4, enc, 0.0625, sup))[0]
+
+    def unit(v):
+        return 1 - np.frexp(np.abs(v).max())[1]
+
+    e = unit(a_ub)
+    c, a_ub, b_ub = np.ldexp(c, unit(c)), np.ldexp(a_ub, e), np.ldexp(b_ub, e)
+    x = _lp.solve(c, a_eq, b_eq, a_ub, b_ub).x
+    for k in (1, 17, 40):
+        lifted = _lp.solve(np.ldexp(c, -k), a_eq, b_eq, np.ldexp(a_ub, -k), np.ldexp(b_ub, -k))
+        assert lifted.status == 0 and lifted.x.tobytes() == x.tobytes(), k
+
+
 # --- above the gate: presolve off, checked against independent oracles ------
 
 

@@ -1,6 +1,6 @@
 """The package surface carries no dead weight.
 
-Five static checks on the source tree, with the standard library's ast only:
+Six static checks on the source tree, with the standard library's ast only:
 no module imports a name it never uses; every name the package exports is
 used somewhere other than its own definition: in the package, a demo or the
 README (an export only tests call is surface nobody else needs); distinct
@@ -10,7 +10,8 @@ over rows; and only the LP layer, `_lp.py`, and `transport.py`, for its lazy
 `linear_sum_assignment`, import scipy, and none imports scipy's private
 linprog module; a code's joint law has one reader, `codec._code_law`, so no
 other module calls `joint_from_encoder` and the decoder-K message is raised
-from one line.
+from one line; and HiGHS's numeric window has one owner, `_lp.py`, so no
+other module reads `_OPTIONS` or names one of its value limits.
 """
 import ast
 import re
@@ -135,3 +136,15 @@ def test_a_codes_law_has_one_reader():
     message = "decoder K does not match encoder K"
     uses = {p.name: p.read_text(encoding="utf-8").count(message) for p in MODULES}
     assert {name: n for name, n in uses.items() if n} == {"codec.py": 1}
+
+
+def test_highs_options_have_one_owner():
+    limits = r"\b(small_matrix_value|large_matrix_value|infinite_cost|infinite_bound)\b"
+    for path in MODULES:
+        if path.name == "_lp.py":
+            continue
+        reads = [node.lineno for node in ast.walk(_tree(path))
+                 if isinstance(node, ast.Attribute) and node.attr == "_OPTIONS"]
+        assert not reads, f"{path.name} reads _lp._OPTIONS (lines {reads})"
+        named = re.findall(limits, path.read_text(encoding="utf-8"))
+        assert not named, f"{path.name} names HiGHS limits {named}; only _lp.py may"

@@ -187,12 +187,14 @@ def _pairs_1d(draw):
     return one("a"), one("b")
 
 
-@given(_pairs_1d())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(_pairs_1d(), st.sampled_from([0, -17, -40]))
 @settings(max_examples=60, deadline=None)
-def test_lp_agrees_with_closed_form(pair):
-    a, b = pair
-    assert abs(w1_exact(a, b).cost - w_1d_closed_form(a, b, 1)) <= 1e-10
-    assert abs(w2sq_exact(a, b).cost - w_1d_closed_form(a, b, 2)) <= 1e-10
+def test_lp_agrees_with_closed_form(pair, j):
+    # both laws scaled by 2^j: an order-p cost, and so the bound, scales by 2^(p·j)
+    a, b = (make_distribution(np.ldexp(d.points, j), d.probs) for d in pair)
+    assert abs(w1_exact(a, b).cost - w_1d_closed_form(a, b, 1)) <= np.ldexp(1e-10, j)
+    assert abs(w2sq_exact(a, b).cost - w_1d_closed_form(a, b, 2)) <= np.ldexp(1e-10, 2 * j)
 
 
 @given(_pairs_1d())
