@@ -19,9 +19,10 @@ temporaries are never allocated beside them. Each solve is then checked by a
 primal/dual certificate instead of linprog's looser feasibility check. With
 no optimum, the status is 2 if HiGHS proved the LP infeasible, else 4: no
 solver limit is set and every LP is bounded, so linprog's 1 and 3 never arise.
-HiGHS's tolerances are absolute and the certificate's scales floor at 1, so a
-cost vector, or a `<=` row with its bound, whose largest magnitude is below 1
-is first lifted by the exact power of two that brings it into [1, 2).
+HiGHS's tolerances are absolute, as is the certificate's on a row whose terms
+sum below 1, so a cost vector, or a `<=` row with its bound, whose largest
+magnitude is below 1 is first lifted by the exact power of two that brings it
+into [1, 2).
 
 The same size gate picks the options. The shared instance holds exactly the
 options `linprog(method="highs", options=HIGHS_OPTIONS)` would pass, and a
@@ -56,7 +57,7 @@ HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 # Certificate tolerance: on each row's residual relative to the size of the
-# terms it sums (see certificate), and relative to max(1, ‖c‖∞) on the dual side.
+# terms it sums (see certificate), and relative to ‖c‖∞ on the dual side.
 CERT_TOL = 1e-9
 # LPs up to this many columns run on the shared solver with presolve; larger
 # ones get a fresh instance without it (_LARGE_OPTIONS). verify on gauss33 at
@@ -239,11 +240,12 @@ def solve(c, a_eq, b_eq, a_ub=None, b_ub=None) -> LPResult:
 def certify(a, c, b_eq, b_ub, x, y) -> LPResult:
     """x as an optimum (status 0) if the pair (x, y) passes the certificate,
     else status 4: a scaled primal residual or bound violation above
-    CERT_TOL, or a reduced cost or duality gap beyond CERT_TOL·max(1, ‖c‖∞).
-    The arguments are certificate's.
+    CERT_TOL, or a reduced cost or duality gap beyond CERT_TOL·‖c‖∞ (1 for an
+    all-zero c), so every pair is judged at its own scale. The arguments are
+    certificate's.
     """
     primal, dual, gap = certificate(a, c, b_eq, b_ub, x, y)
-    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+    scale = float(np.abs(c).max(initial=0.0)) or 1.0
     if not (primal <= CERT_TOL and dual <= CERT_TOL * scale and gap <= CERT_TOL * scale):
         return LPResult(None, 4, f"LP certificate failed: primal residual {primal:.3g}, "
                                  f"dual infeasibility {dual:.3g}, duality gap {gap:.3g} "

@@ -34,7 +34,6 @@ from .codec import (
 from .distcore import (
     DiscreteDistribution,
     _unique_rows,
-    as_support,
     make_distribution,
     sq_dists,
 )
@@ -96,8 +95,8 @@ def augmented_objective(source: DiscreteDistribution, enc: Encoder, gd: Determin
 
 
 def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
-                    lam: float, out_support=None) -> AugmentedSolution:
-    """Exact minimizer of the augmented objective over stochastic decoders.
+                    lam: float) -> AugmentedSolution:
+    """Exact minimizer of the augmented objective over decoders onto supp(X) ∪ gd.
 
     Decoder rows are keyed by distinct gd values (the decoder sees Xd), then
     expanded back to code-indexed rows; with a bijective gd the two views
@@ -112,15 +111,7 @@ def solve_augmented(source: DiscreteDistribution, enc: Encoder, gd: Deterministi
         raise ValueError(f"size cap exceeded: {source.n} support points > {SIZE_CAP}")
     _, pz = _filled_cells(source, enc, gd.table)
 
-    required = _unique_rows(np.vstack([source.points, gd.table]))[0]
-    if out_support is None:
-        sup = required
-    else:
-        sup = as_support(out_support, source.dim)
-        merged = _unique_rows(np.vstack([sup, required]))[0]
-        if merged.shape[0] != sup.shape[0]:
-            raise ValueError("out_support must contain supp(X) and the gd table")
-
+    sup = _unique_rows(np.vstack([source.points, gd.table]))[0]
     values, val_of_z = _unique_rows(gd.table)
     nv, m, n = values.shape[0], sup.shape[0], source.n
     pv = np.zeros(nv)

@@ -52,6 +52,7 @@ from .tradeoff import (
 from .transport import w1_exact, w2sq_exact, w_1d_closed_form
 
 UNIVERSALITY_CAP = 1024  # K^n above this -> the brute-force check is skipped
+REL_TOL = 1e-6  # oracle_tightness' and encoder_universality's relative bound
 _PHASE_LAMBDAS = (0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0)
 _PAIRS = 50  # transport_agreement's 1-D pairs; transport_axioms' triples follow them
 _ALPHAS = [i / 100 for i in range(101)]  # the sweep behind the interpolation checks
@@ -77,17 +78,16 @@ class CheckResult:
 class _Ctx:
     """Shared scenario state so each check re-derives only what it asserts."""
 
-    def __init__(self, source: DiscreteDistribution, k: int, seed: int, rel_tol: float,
-                 codec: tuple, trials: _SharedTrials):
+    def __init__(self, source: DiscreteDistribution, k: int, seed: int, codec: tuple,
+                 trials: _SharedTrials):
         self._trials = trials
         self.source = source
         self.k = k
         self.seed = seed
-        self.rel_tol = rel_tol
         self.enc, self.gd, self.d_d, self.gp = codec
         # sweep() on _ALPHAS, its points measured by the first 101 trials
         d_d, self.p_d = measure(source, self.enc, self.gd)
-        self.points101 = [TradeoffPoint.measured(a, d, p, d_d, self.p_d)
+        self.points101 = [TradeoffPoint(a, d, p, d_d, self.p_d)
                           for a, (d, p, _) in zip(_ALPHAS, trials.collect(range(len(_ALPHAS))))]
         # i/100 and (i/5)/20 are the same double for i = 0, 5, ..., 100
         self.points21 = self.points101[::5]
@@ -216,8 +216,8 @@ def _check_oracle_tightness(ctx: _Ctx) -> CheckResult:
         rel = abs(d_star - pt.d_measured) / max(abs(pt.d_measured), 1e-300)
         worst = max(worst, rel)
     return CheckResult(
-        "oracle_tightness", worst <= ctx.rel_tol,
-        f"max rel |D* − D(α)| over α∈{{0,.25,.5,.75,1}} = {worst:.3g} (tol {ctx.rel_tol:g})",
+        "oracle_tightness", worst <= REL_TOL,
+        f"max rel |D* − D(α)| over α∈{{0,.25,.5,.75,1}} = {worst:.3g} (tol {REL_TOL:g})",
     )
 
 
@@ -232,9 +232,9 @@ def _check_universality(ctx: _Ctx) -> CheckResult:
     p_grid = [f * ctx.p_d for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
     report = universal_encoder_check(ctx.source, ctx.k, p_grid)
     return CheckResult(
-        "encoder_universality", report.ok(ctx.rel_tol),
+        "encoder_universality", report.ok(REL_TOL),
         f"max rel MMSE-encoder gap over {total} assignments x 5 budgets = "
-        f"{report.max_rel_gap:.3g} (tol {ctx.rel_tol:g})",
+        f"{report.max_rel_gap:.3g} (tol {REL_TOL:g})",
     )
 
 
@@ -511,8 +511,7 @@ class _SharedTrials:
             self.pid = 0
 
 
-def run_checks(source: DiscreteDistribution, k: int, seed: int = 0,
-               rel_tol: float = 1e-6) -> list:
+def run_checks(source: DiscreteDistribution, k: int, seed: int = 0) -> list:
     """Full invariant suite on one scenario; returns CheckResults in a fixed order.
 
     Once the codec is built, one list of trials, the 101 sweep points and then
@@ -525,7 +524,7 @@ def run_checks(source: DiscreteDistribution, k: int, seed: int = 0,
     trials = _SharedTrials([(_sweep_point, (source, enc, gd, gp, a)) for a in _ALPHAS]
                            + transport)
     try:
-        ctx = _Ctx(source, k, seed, rel_tol, (enc, gd, d_d, gp), trials)
+        ctx = _Ctx(source, k, seed, (enc, gd, d_d, gp), trials)
         return [fn(ctx) for fn in _CHECKS]
     finally:
         trials.reap()

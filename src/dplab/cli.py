@@ -206,8 +206,7 @@ def cmd_oracle(args: argparse.Namespace, source: DiscreteDistribution) -> Tuple[
 
 
 def cmd_verify(args: argparse.Namespace, source: DiscreteDistribution) -> Tuple[str, int]:
-    kwargs = {} if args.tol is None else {"rel_tol": args.tol}
-    results = run_checks(source, 2 ** args.rate, seed=args.seed, **kwargs)
+    results = run_checks(source, 2 ** args.rate, seed=args.seed)
     return report_text(results), 0 if all(r.passed for r in results) else 1
 
 
@@ -251,9 +250,8 @@ def _common(method: bool) -> argparse.ArgumentParser:
     if method:  # verify always certifies the exact search
         common.add_argument("--method", choices=("exhaustive", "lloyd"), default="exhaustive",
                             help="codec construction")
+        common.add_argument("--tol", type=_tol, default=None, help="training stop tolerance")
     common.add_argument("--seed", type=_seed, default=0, help="64-bit unsigned seed")
-    common.add_argument("--tol", type=_tol, default=None,
-                        help="training stop tolerance / verify relative tolerance")
     common.add_argument("--out", default=None, help="write the artifact here instead of stdout")
     return common
 

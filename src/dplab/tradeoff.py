@@ -57,14 +57,11 @@ class TradeoffPoint:
     alpha: float
     d_measured: float
     p_measured: float
-    d_predicted: float
-    p_predicted: float
     d_d: float
     p_d: float
 
     def __post_init__(self):
-        vals = (self.d_measured, self.p_measured, self.d_predicted,
-                self.p_predicted, self.d_d, self.p_d)
+        vals = (self.d_measured, self.p_measured, self.d_d, self.p_d)
         if any(v < 0 for v in vals) or not 0 <= self.alpha <= 1:
             raise ValueError("tradeoff point values must be nonnegative with alpha in [0,1]")
         # 1e-12 absolute guard keeps exact-zero cases (lossless rate) alive.
@@ -73,12 +70,13 @@ class TradeoffPoint:
         if self.d_measured < self.d_d * (1 - 1e-6) - 1e-12:
             raise ValueError("measured distortion undercuts the MMSE optimum")
 
-    @classmethod
-    def measured(cls, alpha: float, d_measured: float, p_measured: float,
-                 d_d: float, p_d: float) -> "TradeoffPoint":
-        """The point at alpha, its predictions taken from the endpoint (D_d, P_d)."""
-        return cls(alpha, d_measured, p_measured, predicted_distortion(alpha, d_d),
-                   predicted_perception(alpha, p_d), d_d, p_d)
+    @property
+    def d_predicted(self) -> float:
+        return predicted_distortion(self.alpha, self.d_d)
+
+    @property
+    def p_predicted(self) -> float:
+        return predicted_perception(self.alpha, self.p_d)
 
     def row(self) -> tuple:
         return (self.alpha, self.d_measured, self.p_measured,
@@ -165,7 +163,7 @@ def sweep(source: DiscreteDistribution, enc: Encoder, gd: DeterministicDecoder,
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be sorted ascending")
     d_d, p_d = measure(source, enc, gd)
-    return [TradeoffPoint.measured(a, *measure(source, enc, interpolate(gd, gp, a)), d_d, p_d)
+    return [TradeoffPoint(a, *measure(source, enc, interpolate(gd, gp, a)), d_d, p_d)
             for a in alphas]
 
 

@@ -28,8 +28,8 @@ from .distcore import DiscreteDistribution, sq_dists
 SIZE_CAP = 512
 # _assignment_tree's least relaxation step, relative to n·max|c|: above the
 # few-ulp negative cycles that tied costs leave, and at SIZE_CAP points still
-# far below CERT_TOL·max(1, ‖c‖∞), the certificate's bound on the negative
-# reduced costs it leaves (n·eps ≤ 1.2e-13 against 1e-9).
+# far below CERT_TOL·‖c‖∞, the certificate's bound on the negative reduced
+# costs it leaves (n·eps ≤ 1.2e-13 against 1e-9), at every scale of c.
 _TIE_RTOL = float(np.finfo(np.float64).eps)
 
 

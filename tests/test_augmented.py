@@ -113,30 +113,14 @@ def test_sandwich_bound(u4_pair):
         assert abs(sol.objective - lam * floor) <= 1e-8
 
 
-def test_solve_wider_support_no_improvement(u4_pair):
-    enc, gd, _, _, d_d = u4_pair
-    sup = np.concatenate([U4.points.ravel(), gd.table.ravel(), [0.25, 0.75, 2.25, 2.75]])
-    lo = solve_augmented(U4, enc, gd, 0.5, out_support=sup)
-    hi = solve_augmented(U4, enc, gd, 2.0, out_support=sup)
-    assert lo.w1_gap <= 1e-8 and abs(lo.mse - 2 * d_d) <= 1e-8
-    assert hi.mean_dev <= 1e-8 and abs(hi.mse - d_d) <= 1e-8
-
-
 def test_solve_validation(u4_pair, monkeypatch):
     enc, gd, _, _, _ = u4_pair
     with pytest.raises(ValueError, match="lambda must be >= 0"):
         solve_augmented(U4, enc, gd, -1.0)
     with pytest.raises(ValueError, match="empty cell"):
         solve_augmented(U4, Encoder(np.zeros(4, dtype=int), 2), gd, 0.5)
-    with pytest.raises(ValueError, match="out_support must contain"):
-        solve_augmented(U4, enc, gd, 0.5, out_support=U4.points)
     with pytest.raises(ValueError, match="decoder K does not match encoder K"):
         solve_augmented(U4, enc, DeterministicDecoder(np.array([1.5])), 0.5)
-    # out_support is read as the constrained oracle reads it
-    with pytest.raises(ValueError, match="dimension mismatch between out_support and source"):
-        solve_augmented(U4, enc, gd, 0.5, out_support=np.zeros((4, 2)))
-    with pytest.raises(ValueError, match="out_support must be non-empty"):
-        solve_augmented(U4, enc, gd, 0.5, out_support=[])
     monkeypatch.setattr("dplab.augmented.LP_VARIABLE_CAP", 10)
     with pytest.raises(ValueError, match="size cap"):
         solve_augmented(U4, enc, gd, 0.5)
@@ -218,7 +202,7 @@ def test_phase_on_gaussian_grid():
 def _augmented_cases(draw):
     """A 1-D or 2-D source of K..7 atoms, a K-cell encoder (K in 2..4) with
     every cell filled, its conditional-mean gd (sometimes with two cells
-    sharing one value), an out_support with extra points and a lambda."""
+    sharing one value) and a lambda."""
     dim = draw(st.sampled_from([1, 2]))
     k = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(min_value=k, max_value=7))
@@ -236,10 +220,8 @@ def _augmented_cases(draw):
         table = gd.table.copy()
         table[1] = table[0]
         gd = DeterministicDecoder(table)
-    extra = draw(st.lists(lattice, min_size=1, max_size=3))
-    sup = np.vstack([source.points, gd.table, np.asarray(extra, dtype=np.float64) / 4.0])
     lam = draw(st.sampled_from([0.0, 0.3, 1.0, 1.01, 3.0]))
-    return source, enc, gd, sup, lam
+    return source, enc, gd, lam
 
 
 def _full_lp_optimum(source, enc, gd, sup, lam):
@@ -271,10 +253,10 @@ def _full_lp_optimum(source, enc, gd, sup, lam):
 @settings(max_examples=60, deadline=None)
 def test_transport_reduction_matches_full_lp(case):
     # the n × nv transport LP solve_augmented runs has the full LP's optimum,
-    # and its decoder attains it
-    source, enc, gd, sup, lam = case
-    ref = _full_lp_optimum(source, enc, gd, sup, lam)
-    sol = solve_augmented(source, enc, gd, lam, out_support=sup)
+    # over supp X ∪ gd, and its decoder attains it
+    source, enc, gd, lam = case
+    ref = _full_lp_optimum(source, enc, gd, np.vstack([source.points, gd.table]), lam)
+    sol = solve_augmented(source, enc, gd, lam)
     assert sol.objective == pytest.approx(ref, rel=1e-12, abs=1e-14)
     recomputed = augmented_objective(source, enc, gd, sol.decoder, lam)
     assert recomputed == pytest.approx(ref, rel=1e-12, abs=1e-14)

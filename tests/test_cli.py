@@ -437,12 +437,23 @@ def test_verify_skips_dichotomy_at_lossless_rate(capsys):
     assert any(ln.startswith("SKIP conditioning_dichotomy:") for ln in lines)
 
 
-def test_verify_fails_at_absurd_tolerance(capsys):
-    rc = main(["verify", "--source", "builtin:gauss33", "--tol", "1e-300"])
+def test_verify_fails_at_absurd_tolerance(capsys, monkeypatch):
+    monkeypatch.setattr("dplab.checks.REL_TOL", 1e-300)
+    rc = main(["verify", "--source", "builtin:gauss33"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "skipped" in out.strip().split("\n")[-1]
+
+
+def test_tol_is_the_training_tolerance_alone(capsys):
+    # --tol stops Lloyd's training; verify always certifies the exact search
+    # at its fixed bounds, so it takes no --tol
+    assert main(["verify", "--tol", "1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol 1e-3" in captured.err
+    assert main(["sweep", "--method", "lloyd", "--tol", "1e-12"]) == 0
 
 
 def test_lloyd_method_from_cli(capsys):

@@ -301,6 +301,23 @@ def test_failed_certificate_is_status_4(monkeypatch):
         w2sq_exact(U4, U4)
 
 
+def test_certificate_judges_a_pair_at_its_own_scale():
+    # the anti-diagonal plan for [[0, 1], [1, 0]]·2^-40 with zero duals: a
+    # feasible plan costing 2^-40 where the optimum costs 0. Its duality gap,
+    # 9.1e-13, passes an absolute 1e-9 bound; relative to ‖c‖∞ it is a gap of 1
+    c = np.ldexp(np.array([0.0, 1.0, 1.0, 0.0]), -40)
+    b_eq, none = np.full(4, 0.5), np.zeros(0)
+    anti = np.array([0.0, 0.5, 0.5, 0.0])
+    res = _lp.certify(marginals(2, 2), c, b_eq, none, anti, np.zeros(4))
+    assert res.status == 4 and res.x is None
+    assert "scale 9.09e-13" in res.message
+    # the diagonal plan is optimal at every scale, and an all-zero cost is
+    # judged at scale 1
+    diag = np.array([0.5, 0.0, 0.0, 0.5])
+    assert _lp.certify(marginals(2, 2), c, b_eq, none, diag, np.zeros(4)).status == 0
+    assert _lp.certify(marginals(2, 2), 0 * c, b_eq, none, anti, np.zeros(4)).status == 0
+
+
 class _FailingHighs(_highs._Highs):
     """A solver holding dplab's options whose passModel or run, as `fail`
     names, reports kError: passModel hands HiGHS a row index past the last

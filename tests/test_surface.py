@@ -1,6 +1,6 @@
 """The package surface carries no dead weight.
 
-Six static checks on the source tree, with the standard library's ast only:
+Seven static checks on the source tree, with the standard library's ast only:
 no module imports a name it never uses; every name the package exports is
 used somewhere other than its own definition: in the package, a demo or the
 README (an export only tests call is surface nobody else needs); distinct
@@ -10,8 +10,10 @@ over rows; and only the LP layer, `_lp.py`, and `transport.py`, for its lazy
 `linear_sum_assignment`, import scipy, and none imports scipy's private
 linprog module; a code's joint law has one reader, `codec._code_law`, so no
 other module calls `joint_from_encoder` and the decoder-K message is raised
-from one line; and HiGHS's numeric window has one owner, `_lp.py`, so no
-other module reads `_OPTIONS` or names one of its value limits.
+from one line; a caller's output support has one reader, `distcore.as_support`,
+called by the oracle in tradeoff.py alone; and HiGHS's numeric window has one
+owner, `_lp.py`, so no other module reads `_OPTIONS` or names one of its value
+limits.
 """
 import ast
 import re
@@ -136,6 +138,13 @@ def test_a_codes_law_has_one_reader():
     message = "decoder K does not match encoder K"
     uses = {p.name: p.read_text(encoding="utf-8").count(message) for p in MODULES}
     assert {name: n for name, n in uses.items() if n} == {"codec.py": 1}
+
+
+def test_a_callers_support_has_one_reader():
+    callers = {p.name: _calls(_tree(p), "as_support") for p in MODULES}
+    assert {name: len(lines) for name, lines in callers.items() if lines} == {"tradeoff.py": 1}
+    importers = [p.name for p in MODULES if "as_support" in _imported(_tree(p))]
+    assert importers == ["tradeoff.py"]
 
 
 def test_highs_options_have_one_owner():

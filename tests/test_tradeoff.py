@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dplab.tradeoff
-from dplab.augmented import solve_augmented
 from dplab.codec import (
     DeterministicDecoder,
     Encoder,
@@ -130,15 +130,29 @@ def test_evaluate_point_examples(u4_pair):
 
 
 def test_tradeoff_point_invariants():
-    TradeoffPoint(0.5, 0.3125, 0.0625, 0.3125, 0.0625, 0.25, 0.25)
+    TradeoffPoint(0.5, 0.3125, 0.0625, 0.25, 0.25)
     with pytest.raises(ValueError, match="exceeds"):
-        TradeoffPoint(0.5, 0.3125, 0.3, 0.3125, 0.0625, 0.25, 0.25)
+        TradeoffPoint(0.5, 0.3125, 0.3, 0.25, 0.25)
     with pytest.raises(ValueError, match="undercuts"):
-        TradeoffPoint(0.5, 0.1, 0.0625, 0.3125, 0.0625, 0.25, 0.25)
+        TradeoffPoint(0.5, 0.1, 0.0625, 0.25, 0.25)
     with pytest.raises(ValueError, match="alpha"):
-        TradeoffPoint(1.5, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25)
+        TradeoffPoint(1.5, 0.25, 0.25, 0.25, 0.25)
     with pytest.raises(ValueError, match="nonnegative"):
-        TradeoffPoint(0.5, -0.1, 0.0625, 0.3125, 0.0625, 0.25, 0.25)
+        TradeoffPoint(0.5, -0.1, 0.0625, 0.25, 0.25)
+
+
+def test_tradeoff_point_derives_its_predictions():
+    # a point stores what it measured and its endpoint; the closed forms
+    # D(α) = (1 + (1−α)²)·D_d and P(α) = α²·P_d are derived, never stored
+    assert [f.name for f in dataclasses.fields(TradeoffPoint)] == [
+        "alpha", "d_measured", "p_measured", "d_d", "p_d"]
+    for alpha in (0.0, 0.1, 1 / 3, 0.5, 0.77, 1.0):
+        d_d, p_d = 0.3 * (1 + alpha), 0.7 / (1 + alpha)
+        pt = TradeoffPoint(alpha, predicted_distortion(alpha, d_d),
+                           predicted_perception(alpha, p_d), d_d, p_d)
+        assert pt.d_predicted == predicted_distortion(alpha, d_d)
+        assert pt.p_predicted == predicted_perception(alpha, p_d)
+        assert pt.row()[3:5] == (pt.d_predicted, pt.p_predicted)
 
 
 def test_sweep_five_point_grid(u4_pair):
@@ -207,11 +221,10 @@ def test_signed_zero_support_is_canonical(u4_pair):
     # returned support has the same bytes for all four spellings of zero
     enc, gd, _, _ = u4_pair
     rest = [1.0, 2.0, 3.0, *gd.table[:, 0]]
-    for solve in (lambda sup: constrained_oracle(U4, enc, 0.1, sup)[1],
-                  lambda sup: solve_augmented(U4, enc, gd, 0.5, out_support=sup).decoder):
-        got = {solve(np.array(zeros + rest)[:, None]).out_support.tobytes()
-               for zeros in ([0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0])}
-        assert len(got) == 1
+    got = {constrained_oracle(U4, enc, 0.1, np.array(zeros + rest)[:, None])[1]
+           .out_support.tobytes()
+           for zeros in ([0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0])}
+    assert len(got) == 1
 
 
 def test_oracle_perfect_perception(u4_pair):
